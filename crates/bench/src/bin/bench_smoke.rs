@@ -5,17 +5,12 @@
 //! sharded-vs-fused wall-clock comparison.
 //!
 //! Usage: `bench_smoke [trials] [base_seed] [--obs off|metrics|full]
-//! [--engine row|columnar|batched] [--dump-outcome FILE] [--wall]
-//! [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, columnar
-//! engine). `--serve` binds a live [`das_obs::ObsServer`] console (an OS
+//! [--dump-outcome FILE] [--wall] [--serve [ADDR]]` (defaults: 8 trials,
+//! seed 42, obs off). `--serve` binds a live [`das_obs::ObsServer`] console (an OS
 //! port when ADDR is omitted, advertised on the `listening on ADDR`
 //! stdout line) that streams each leg's phase and, on the legs that carry
 //! a hub, per-shard load and doubling attempts — without perturbing any
 //! printed or persisted output.
-//!
-//! `--engine` selects the execution engine for the fused trials and the
-//! outcome dumps; schedule statistics are byte-identical across engines
-//! (CI diffs the dumps), only wall-clock may move.
 //!
 //! `--obs` sets the observability level for the fused trials; their
 //! per-trial [`das_obs::ObsSummary`] is persisted into the BENCH artifact.
@@ -28,12 +23,12 @@
 //! without flaking on timing noise.
 
 use das_bench::{
-    run_trial_doubling, run_trial_networked, run_trial_observed_with_engine, run_trial_sharded,
+    run_trial_doubling, run_trial_networked, run_trial_observed, run_trial_sharded,
     run_trial_swept, workloads, SweepPlanner, TrialRunner,
 };
 use das_core::{
-    doubling, execute_plan_observed_with, DasProblem, DoublingConfig, EngineKind, ExecutorConfig,
-    Scheduler, UniformScheduler,
+    doubling, execute_plan_observed_with, DasProblem, DoublingConfig, ExecutorConfig, Scheduler,
+    UniformScheduler,
 };
 use das_obs::{LiveHub, ObsConfig, ObsServer};
 use std::path::Path;
@@ -48,7 +43,7 @@ const SMOKE_SHARDS: usize = 4;
 const SMOKE_WORKERS: usize = 3;
 
 const USAGE: &str = "usage: bench_smoke [trials] [base_seed] \
-                     [--obs off|metrics|full] [--engine row|columnar|batched] \
+                     [--obs off|metrics|full] \
                      [--dump-outcome FILE] [--plan-cache on|off] \
                      [--dump-doubling FILE] [--wall] [--serve [ADDR]]";
 
@@ -62,7 +57,6 @@ struct Args {
     trials: u64,
     base_seed: u64,
     obs: ObsConfig,
-    engine: EngineKind,
     dump_outcome: Option<String>,
     plan_cache: bool,
     dump_doubling: Option<String>,
@@ -75,7 +69,6 @@ fn parse_args() -> Args {
         trials: 8,
         base_seed: 42,
         obs: ObsConfig::off(),
-        engine: EngineKind::Columnar,
         dump_outcome: None,
         plan_cache: true,
         dump_doubling: None,
@@ -90,15 +83,6 @@ fn parse_args() -> Args {
                 let v = it.next().unwrap_or_else(|| fail("--obs needs a value"));
                 args.obs = ObsConfig::parse(&v)
                     .unwrap_or_else(|| fail("--obs must be off, metrics, or full"));
-            }
-            "--engine" => {
-                let v = it.next().unwrap_or_else(|| fail("--engine needs a value"));
-                args.engine = match v.as_str() {
-                    "row" => EngineKind::Row,
-                    "columnar" => EngineKind::Columnar,
-                    "batched" => EngineKind::ColumnarBatched,
-                    _ => fail("--engine must be row, columnar, or batched"),
-                };
             }
             "--dump-outcome" => {
                 args.dump_outcome = Some(
@@ -160,13 +144,10 @@ fn dump_outcomes(
     runner: &TrialRunner,
     problem: &DasProblem<'_>,
     obs: &ObsConfig,
-    engine: EngineKind,
     live: Option<Arc<LiveHub>>,
 ) {
     let sched = UniformScheduler::default();
-    let cfg = ExecutorConfig::default()
-        .with_engine(engine)
-        .with_live(live);
+    let cfg = ExecutorConfig::default().with_live(live);
     let mut dump = String::new();
     for t in 0..runner.trials() {
         let seed = runner.trial_seed(t);
@@ -227,12 +208,7 @@ fn main() {
             let srv = ObsServer::bind(addr, hub.clone())
                 .unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
             println!("listening on {}", srv.local_addr());
-            let engine = match args.engine {
-                EngineKind::Row => "row",
-                EngineKind::Columnar => "columnar",
-                EngineKind::ColumnarBatched => "batched",
-            };
-            hub.set_run_info(engine, 1);
+            hub.set_run_info("batched", 1);
             Some(srv)
         }
         _ => None,
@@ -247,14 +223,7 @@ fn main() {
     phase("fused trials");
     let fused_clock = Instant::now();
     let agg = runner.aggregate("e01_smoke", "uniform", |seed| {
-        run_trial_observed_with_engine(
-            &UniformScheduler::default(),
-            &problem,
-            seed,
-            &args.obs,
-            args.engine,
-        )
-        .0
+        run_trial_observed(&UniformScheduler::default(), &problem, seed, &args.obs).0
     });
     let fused_ms = fused_clock.elapsed().as_secs_f64() * 1e3;
     let path = agg.write(Path::new(".")).expect("write BENCH artifact");
@@ -293,14 +262,7 @@ fn main() {
 
     if let Some(dump) = &args.dump_outcome {
         phase("outcome dumps");
-        dump_outcomes(
-            dump,
-            &runner,
-            &problem,
-            &args.obs,
-            args.engine,
-            live.clone(),
-        );
+        dump_outcomes(dump, &runner, &problem, &args.obs, live.clone());
     }
 
     // Same trials again from one shared sweep artifact: the scheduler plans

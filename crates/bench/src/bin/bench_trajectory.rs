@@ -1,9 +1,10 @@
 //! Benchmark-trajectory point for the CI `bench-trajectory` job: runs the
-//! pinned E1 and E7 configurations through the columnar and batched
-//! engines, measures throughput (rounds/sec), sweep plan-cache hits, and
-//! peak RSS, and appends one point per (configuration, engine) to
-//! `BENCH_trajectory.json` (an ever-growing JSON array — the trajectory
-//! CI plots across commits).
+//! pinned E1 and E7 configurations through the engine (E1 also over two
+//! networked workers on loopback) and the serve daemon, measures
+//! throughput, sweep plan-cache hits, and peak RSS, and appends one point
+//! per configuration to `BENCH_trajectory.json` (an ever-growing JSON
+//! array — the trajectory CI plots across commits). Every point names the
+//! unit of its throughput.
 //!
 //! Usage: `bench_trajectory [--out FILE] [--baseline FILE] [--budget-ms N]
 //! [--tag LABEL]`
@@ -14,7 +15,7 @@
 //! appended points are attributable to a commit without extra flags.
 //!
 //! With `--baseline FILE` the run additionally gates: if any
-//! configuration's rounds/sec lands more than 20% below the matching
+//! configuration's throughput lands more than 20% below the matching
 //! point in the committed baseline, the binary exits nonzero and CI
 //! fails. The committed baseline (`ci/bench_baseline.json`) is set well
 //! below a warm local run so shared CI runners do not flake; it catches
@@ -22,8 +23,9 @@
 
 use das_bench::{workloads, SweepPlanner};
 use das_core::{
-    execute_plan_with, run_loadgen, serve, DasProblem, EngineKind, ExecutorConfig, LoadgenConfig,
-    NetConfig, Scheduler, ServeConfig, UniformScheduler,
+    execute_plan_networked, execute_plan_with, run_loadgen, run_worker, serve, DasProblem,
+    ExecutorConfig, LoadgenConfig, NetConfig, SchedulePlan, Scheduler, ServeConfig,
+    UniformScheduler,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,11 +35,14 @@ use std::time::{Duration, Instant};
 const USAGE: &str =
     "usage: bench_trajectory [--out FILE] [--baseline FILE] [--budget-ms N] [--tag LABEL]";
 
-/// How far below the baseline rounds/sec may land before the gate fails.
+/// How far below the baseline throughput may land before the gate fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
 
 /// Seeds swept per configuration to exercise the sweep plan cache.
 const SWEEP_SEEDS: u64 = 8;
+
+/// In-process workers of the networked point.
+const NET_WORKERS: usize = 2;
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -103,19 +108,26 @@ fn git_short_hash() -> String {
         .unwrap_or_else(|| "untracked".to_string())
 }
 
-/// One measured point on the benchmark trajectory. The schema is append-
-/// only: new optional fields may be added, existing ones never change
-/// meaning, so old trajectory files always stay parseable.
+/// One measured point on the benchmark trajectory. Appending keeps older
+/// points verbatim; points written before `unit` existed carry `engine`,
+/// `rounds` and `rounds_per_sec` instead of `unit`, `work` and
+/// `throughput`, and the gate only reads the committed baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TrajectoryPoint {
-    /// Pinned configuration label (e.g. `e07_path100_relays64`).
+    /// Pinned configuration label (e.g. `e07_path100_relays64`); the gate
+    /// matches points by label and unit.
     label: String,
-    /// Engine the throughput was measured on.
-    engine: String,
-    /// Schedule length of the measured plan, in rounds.
-    rounds: u64,
-    /// Engine throughput: schedule rounds executed per wall-clock second.
-    rounds_per_sec: f64,
+    /// Unit of `throughput`: `rounds/s` (schedule rounds executed per
+    /// wall-clock second) or `jobs/s` (served jobs answered per second).
+    #[serde(default)]
+    unit: String,
+    /// Work done by one measured run in the unit's numerator: the plan's
+    /// schedule length in rounds, or the jobs served.
+    #[serde(default)]
+    work: u64,
+    /// Throughput in `unit`.
+    #[serde(default)]
+    throughput: f64,
     /// Sweep plan-cache hits over the [`SWEEP_SEEDS`]-seed planning sweep.
     plan_cache_hits: u64,
     /// Whether the scheduler's sweep artifact actually shares planning.
@@ -140,25 +152,25 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// The stable engine name recorded in trajectory rows and matched by the
-/// baseline gate.
-fn engine_name(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Row => "row",
-        EngineKind::Columnar => "columnar",
-        EngineKind::ColumnarBatched => "batched",
+/// Mean seconds per call of `run`: one calibration call sizes a
+/// repetition count that fills `budget`, then the batch is timed as a
+/// whole.
+fn secs_per_run(budget: Duration, mut run: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    run();
+    let once = t.elapsed().max(Duration::from_nanos(1));
+    let reps = (budget.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
+    let t = Instant::now();
+    for _ in 0..reps {
+        run();
     }
+    t.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Measures one pinned configuration: throughput on the selected engine
-/// plus the sweep-cache counters for a [`SWEEP_SEEDS`]-seed plan sweep.
-fn measure(
-    label: &str,
-    problem: &DasProblem<'_>,
-    budget: Duration,
-    tag: &Option<String>,
-    engine: EngineKind,
-) -> TrajectoryPoint {
+/// The seed-7 plan of `problem` from a [`SWEEP_SEEDS`]-seed sweep through
+/// the sweep planner (asserted equal to scratch planning), with the
+/// planner's cache counters.
+fn swept_plan(label: &str, problem: &DasProblem<'_>) -> (SchedulePlan, u64, bool) {
     let sched = UniformScheduler::default();
     let planner = SweepPlanner::new(&sched, problem);
     for s in 0..SWEEP_SEEDS {
@@ -171,40 +183,83 @@ fn measure(
         );
     }
     let plan = planner.plan(problem, 7);
-    let cfg = ExecutorConfig::default()
-        .with_phase_len(plan.phase_len)
-        .with_engine(engine);
+    (plan, planner.cache_hits(), planner.shares_planning())
+}
 
-    // One calibration run sizes a repetition count that fills the budget,
-    // then the batch is timed as a whole.
-    let t = Instant::now();
-    let out = execute_plan_with(problem, &plan, &cfg).expect("trajectory run");
-    let once = t.elapsed().max(Duration::from_nanos(1));
-    let sched_rounds = out.schedule_rounds();
-    let reps = (budget.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
-    let t = Instant::now();
-    for _ in 0..reps {
+/// Measures one pinned configuration: fused engine throughput plus the
+/// sweep-cache counters of the planning sweep.
+fn measure(
+    label: &str,
+    problem: &DasProblem<'_>,
+    budget: Duration,
+    tag: &Option<String>,
+) -> TrajectoryPoint {
+    let (plan, plan_cache_hits, sweep_shared) = swept_plan(label, problem);
+    let cfg = ExecutorConfig::default().with_phase_len(plan.phase_len);
+    let rounds = execute_plan_with(problem, &plan, &cfg)
+        .expect("trajectory run")
+        .schedule_rounds();
+    let secs = secs_per_run(budget, || {
         std::hint::black_box(execute_plan_with(problem, &plan, &cfg).expect("trajectory run"));
-    }
-    let secs = t.elapsed().as_secs_f64() / reps as f64;
-
+    });
     TrajectoryPoint {
         label: label.to_string(),
-        engine: engine_name(engine).to_string(),
-        rounds: sched_rounds,
-        rounds_per_sec: sched_rounds as f64 / secs,
-        plan_cache_hits: planner.cache_hits(),
-        sweep_shared: planner.shares_planning(),
+        unit: "rounds/s".to_string(),
+        work: rounds,
+        throughput: rounds as f64 / secs,
+        plan_cache_hits,
+        sweep_shared,
+        peak_rss_kb: peak_rss_kb(),
+        tag: tag.clone(),
+    }
+}
+
+/// Measures one pinned configuration run networked: each timed run binds
+/// a loopback listener, starts [`NET_WORKERS`] in-process workers, and
+/// drives them through `execute_plan_networked` — handshake, plan
+/// shipping, the big-round relay, and the result merge all included.
+fn measure_networked(
+    label: &str,
+    problem: &DasProblem<'_>,
+    budget: Duration,
+    tag: &Option<String>,
+) -> TrajectoryPoint {
+    let (plan, plan_cache_hits, sweep_shared) = swept_plan(label, problem);
+    let net = NetConfig::default();
+    let run = || {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind networked bench");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..NET_WORKERS)
+                .map(|_| scope.spawn(|| run_worker(problem, &addr, &net)))
+                .collect();
+            let (outcome, _) = execute_plan_networked(problem, &plan, NET_WORKERS, listener, &net)
+                .expect("networked trajectory run");
+            for w in workers {
+                w.join().expect("worker thread").expect("worker outcome");
+            }
+            outcome.schedule_rounds()
+        })
+    };
+    let rounds = run();
+    let secs = secs_per_run(budget, || {
+        std::hint::black_box(run());
+    });
+    TrajectoryPoint {
+        label: label.to_string(),
+        unit: "rounds/s".to_string(),
+        work: rounds,
+        throughput: rounds as f64 / secs,
+        plan_cache_hits,
+        sweep_shared,
         peak_rss_kb: peak_rss_kb(),
         tag: tag.clone(),
     }
 }
 
 /// Measures the serve path: an in-process daemon on an ephemeral port
-/// driven by the deterministic loadgen (2 clients × 12 jobs). `rounds`
-/// records jobs completed and `rounds_per_sec` the sustained jobs/sec —
-/// the unit differs from the engine points, which is why the pair gets
-/// its own (label, engine) row in the baseline.
+/// driven by the deterministic loadgen (2 clients × 12 jobs), in jobs
+/// answered per second.
 fn measure_serve(tag: &Option<String>) -> TrajectoryPoint {
     let g = das_graph::generators::grid(4, 4);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind serve bench");
@@ -237,9 +292,9 @@ fn measure_serve(tag: &Option<String>) -> TrajectoryPoint {
     });
     TrajectoryPoint {
         label: "e01_serve".to_string(),
-        engine: "serve".to_string(),
-        rounds: report.completed,
-        rounds_per_sec: report.jobs_per_sec,
+        unit: "jobs/s".to_string(),
+        work: report.completed,
+        throughput: report.jobs_per_sec,
         plan_cache_hits: 0,
         sweep_shared: true,
         peak_rss_kb: peak_rss_kb(),
@@ -248,13 +303,14 @@ fn measure_serve(tag: &Option<String>) -> TrajectoryPoint {
 }
 
 /// Appends `points` to the JSON array in `path` (creating it if absent).
+/// Existing points are kept verbatim, whatever schema they were written in.
 fn append_points(path: &str, points: &[TrajectoryPoint]) {
-    let mut all: Vec<TrajectoryPoint> = match std::fs::read_to_string(path) {
+    let mut all: Vec<serde_json::Value> = match std::fs::read_to_string(path) {
         Ok(body) => serde_json::from_str(&body)
             .unwrap_or_else(|e| fail(&format!("{path} is not a trajectory file: {e}"))),
         Err(_) => Vec::new(),
     };
-    all.extend(points.iter().cloned());
+    all.extend(points.iter().map(serde::Serialize::to_value));
     let body = serde_json::to_string_pretty(&all).expect("points are JSON-representable");
     std::fs::write(path, body).expect("write trajectory file");
     println!(
@@ -264,11 +320,12 @@ fn append_points(path: &str, points: &[TrajectoryPoint]) {
     );
 }
 
-/// The `--baseline` gate: every measured (label, engine) pair must stay
-/// within [`REGRESSION_TOLERANCE`] of the last matching baseline point.
+/// The `--baseline` gate: every measured point must stay within
+/// [`REGRESSION_TOLERANCE`] of the last baseline point with its label and
+/// unit.
 ///
-/// A measured pair with *no* baseline point is a failure, not a skip: a
-/// new engine or configuration must be added to the baseline explicitly,
+/// A measured point with *no* baseline point is a failure, not a skip: a
+/// new configuration must be added to the baseline explicitly,
 /// or it would dodge the regression gate forever. To update the baseline,
 /// run `bench_trajectory --out fresh.json` locally and copy the new
 /// point(s) into `ci/bench_baseline.json` (the workflow is documented in
@@ -283,37 +340,36 @@ fn gate(baseline_path: &str, points: &[TrajectoryPoint]) -> bool {
         let Some(base) = baseline
             .iter()
             .rev()
-            .find(|b| b.label == p.label && b.engine == p.engine)
+            .find(|b| b.label == p.label && b.unit == p.unit)
         else {
             eprintln!(
                 "gate FAILED: {} ({}, tag {}) has no baseline point in {baseline_path} — \
                  new configurations must be gated, not skipped; run bench_trajectory \
                  locally and add the fresh point to the baseline",
                 p.label,
-                p.engine,
+                p.unit,
                 p.tag.as_deref().unwrap_or("untagged")
             );
             ok = false;
             continue;
         };
-        let floor = base.rounds_per_sec * (1.0 - REGRESSION_TOLERANCE);
-        if p.rounds_per_sec < floor {
+        let floor = base.throughput * (1.0 - REGRESSION_TOLERANCE);
+        if p.throughput < floor {
             eprintln!(
-                "gate FAILED: {} ({}, tag {}) at {:.0} rounds/s, below {:.0} \
-                 (baseline {:.0} - {:.0}%)",
+                "gate FAILED: {} (tag {}) at {:.0} {}, below {:.0} (baseline {:.0} - {:.0}%)",
                 p.label,
-                p.engine,
                 p.tag.as_deref().unwrap_or("untagged"),
-                p.rounds_per_sec,
+                p.throughput,
+                p.unit,
                 floor,
-                base.rounds_per_sec,
+                base.throughput,
                 REGRESSION_TOLERANCE * 100.0
             );
             ok = false;
         } else {
             println!(
-                "gate ok: {} ({}) at {:.0} rounds/s (floor {:.0}, baseline {:.0})",
-                p.label, p.engine, p.rounds_per_sec, floor, base.rounds_per_sec
+                "gate ok: {} at {:.0} {} (floor {:.0}, baseline {:.0})",
+                p.label, p.throughput, p.unit, floor, base.throughput
             );
         }
     }
@@ -331,47 +387,16 @@ fn main() {
     let e01 = workloads::segment_relays(&g1, 40, 16, 2, 7);
     let e07 = workloads::segment_relays(&g7, 64, 14, 1, 5);
     let points = vec![
-        measure(
-            "e01_path120_relays40",
-            &e01,
-            args.budget,
-            &args.tag,
-            EngineKind::Columnar,
-        ),
-        measure(
-            "e01_path120_relays40",
-            &e01,
-            args.budget,
-            &args.tag,
-            EngineKind::ColumnarBatched,
-        ),
-        measure(
-            "e07_path100_relays64",
-            &e07,
-            args.budget,
-            &args.tag,
-            EngineKind::Columnar,
-        ),
-        measure(
-            "e07_path100_relays64",
-            &e07,
-            args.budget,
-            &args.tag,
-            EngineKind::ColumnarBatched,
-        ),
+        measure("e01_path120_relays40", &e01, args.budget, &args.tag),
+        measure("e07_path100_relays64", &e07, args.budget, &args.tag),
+        measure_networked("e01_networked", &e01, args.budget, &args.tag),
         measure_serve(&args.tag),
     ];
 
     for p in &points {
         println!(
-            "{} ({}): {:.0} rounds/s over {} rounds, {} plan-cache hits (shared={}), peak RSS {} kB",
-            p.label,
-            p.engine,
-            p.rounds_per_sec,
-            p.rounds,
-            p.plan_cache_hits,
-            p.sweep_shared,
-            p.peak_rss_kb
+            "{}: {:.0} {} (work {}), {} plan-cache hits (shared={}), peak RSS {} kB",
+            p.label, p.throughput, p.unit, p.work, p.plan_cache_hits, p.sweep_shared, p.peak_rss_kb
         );
     }
     append_points(&args.out, &points);

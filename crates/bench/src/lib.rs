@@ -29,9 +29,8 @@ pub use table::Table;
 
 use das_core::verify::{self, VerifyReport};
 use das_core::{
-    doubling, execute_plan, execute_plan_networked, execute_plan_observed,
-    execute_plan_observed_with, execute_plan_sharded, execute_plan_with, run_worker, DasProblem,
-    DoublingConfig, EngineKind, ExecError, ExecutorConfig, NetConfig, SchedError, ScheduleOutcome,
+    doubling, execute_plan, execute_plan_networked, execute_plan_observed, execute_plan_sharded,
+    run_worker, DasProblem, DoublingConfig, ExecError, NetConfig, SchedError, ScheduleOutcome,
     SchedulePlan, Scheduler, ShardReport, SweepArtifact, UniformScheduler,
 };
 use das_obs::{ObsConfig, ObsReport};
@@ -134,28 +133,6 @@ pub fn run_trial(
     finish_trial(problem, &plan, sched_seed, result)
 }
 
-/// [`run_trial`] on an explicit engine (`row`, `columnar`, or `batched`).
-/// The engine choice is a pure execution detail: every recorded
-/// schedule-quality field is byte-identical across engines.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_with_engine(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    engine: EngineKind,
-) -> TrialRecord {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let cfg = ExecutorConfig::default()
-        .with_phase_len(plan.phase_len)
-        .with_engine(engine);
-    let result = execute_plan_with(problem, &plan, &cfg).map(|o| (o, None));
-    finish_trial(problem, &plan, sched_seed, result)
-}
-
 /// [`run_trial`] with observability: the execution runs through
 /// [`execute_plan_observed`] at the level `obs` asks for, the record
 /// carries the deterministic [`das_obs::ObsSummary`] (persisted into the
@@ -175,34 +152,6 @@ pub fn run_trial_observed(
         .plan(problem, sched_seed)
         .expect("workload is model-valid");
     match execute_plan_observed(problem, &plan, obs) {
-        Ok((outcome, report)) => {
-            let mut rec = finish_trial(problem, &plan, sched_seed, Ok((outcome, None)));
-            rec.obs = report.as_ref().map(|r| r.summary());
-            (rec, report)
-        }
-        Err(e) => (finish_trial(problem, &plan, sched_seed, Err(e)), None),
-    }
-}
-
-/// [`run_trial_observed`] on an explicit engine — the combination
-/// `bench_smoke --engine` threads through: observed execution whose
-/// recorded outcome fields stay byte-identical across engines and obs
-/// levels.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_observed_with_engine(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    obs: &ObsConfig,
-    engine: EngineKind,
-) -> (TrialRecord, Option<ObsReport>) {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let cfg = ExecutorConfig::default().with_engine(engine);
-    match execute_plan_observed_with(problem, &plan, obs, &cfg) {
         Ok((outcome, report)) => {
             let mut rec = finish_trial(problem, &plan, sched_seed, Ok((outcome, None)));
             rec.obs = report.as_ref().map(|r| r.summary());

@@ -10,8 +10,8 @@
 //! (algorithm, node). Every batched entry point has a default
 //! implementation that loops the specification tier, so an algorithm
 //! that only implements `step`/`create_node` keeps working unchanged —
-//! and the batched engine ([`crate::EngineKind::ColumnarBatched`]) stays
-//! byte-identical to the per-step engines by construction.
+//! and the engine, which steps slabs block by block, stays byte-identical
+//! by construction to stepping each machine through `step`.
 
 use das_graph::NodeId;
 use serde::{Deserialize, Serialize};

@@ -22,18 +22,24 @@
 //!   [`crate::verify`]. "With high probability" claims become measured
 //!   failure rates.
 
-mod columnar;
+//!
+//! Every run — fused, sharded, networked, served — goes through the one
+//! big-round loop in `exec/engine.rs`; see its module docs for the loop
+//! and the boundary exchanges that distinguish the runs.
+
+mod engine;
+mod steps;
+
+pub(crate) use engine::{merge, run_shard, BoundaryExchange, ShardOutput, ShardSpec};
+pub(crate) use steps::FlatSteps;
 
 use crate::algorithm::BlackBoxAlgorithm;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
-use das_graph::{Graph, NodeId};
+use das_graph::Graph;
 use das_obs::{ExecObs, ObsConfig, ObsReport};
-use das_pattern::{SimulationMap, TimedArc};
+use engine::{Alone, Boundary, Threaded};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
 
 /// Ways an execution can fail outright (as opposed to producing wrong
 /// outputs, which [`crate::verify`] catches after the fact).
@@ -202,30 +208,18 @@ impl Unit {
     }
 }
 
-/// Which implementation drives the engine's hot loop. Both produce
-/// byte-identical [`ScheduleOutcome`]s for every plan, shard count, and
-/// observability setting (enforced by `tests/shard_equivalence.rs`,
-/// `tests/obs_neutrality.rs`, and the `columnar-equivalence` CI job); they
-/// differ only in throughput.
+/// The engine implementation. There is one: the batched step phase over
+/// the columnar drain in `exec/engine.rs`. The type, together with
+/// [`ExecutorConfig::engine`], [`ExecutorConfig::with_engine`] and
+/// `ServeConfig::engine`, is kept only so that code naming them — the
+/// `dasbench` package does — keeps compiling; none of them selects
+/// anything.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The row-at-a-time reference loop: one message per active arc per
-    /// engine round, heap-allocated payloads, per-message departure
-    /// inserts. Kept as the executable specification the columnar engine
-    /// is checked against.
-    Row,
-    /// The columnar hot path (default): per-arc arena queues drained in
-    /// contiguous per-big-round batches, bitset-indexed tag windows, and
-    /// deferred departure recording. See `exec/columnar.rs`.
+    /// Machines as node-contiguous [`crate::NodeBatch`] slabs, one
+    /// [`crate::AlgoSlab::step_block`] call per same-algorithm run of a
+    /// big-round, per-arc arena queues drained in per-big-round batches.
     #[default]
-    Columnar,
-    /// The columnar engine plus the batched black-box tier: machines are
-    /// built as node-contiguous [`crate::NodeBatch`] slabs, each
-    /// big-round's step table is grouped into maximal same-algorithm runs,
-    /// and every run dispatches as **one** virtual
-    /// [`crate::AlgoSlab::step_block`] call with sends landing in a flat
-    /// arena. Sends are still validated and enqueued in per-step order,
-    /// which keeps the outcome byte-identical to the other engines.
     ColumnarBatched,
 }
 
@@ -240,14 +234,13 @@ pub struct ExecutorConfig {
     /// Hard cap on engine rounds.
     pub max_engine_rounds: u64,
     /// Record message departures to build a causality-checkable
-    /// [`SimulationMap`] per algorithm.
+    /// [`das_pattern::SimulationMap`] per algorithm.
     pub record_departures: bool,
     /// Number of shards for [`Executor::run_sharded`] (clamped to the node
     /// count; [`Executor::run`] ignores it). The outcome is byte-identical
     /// for every shard count — sharding changes only the parallel layout.
     pub shards: usize,
-    /// Which engine implementation to run; outcomes are byte-identical
-    /// either way (see [`EngineKind`]).
+    /// Kept for source compatibility only; see [`EngineKind`].
     pub engine: EngineKind,
     /// Live observability hub, if the run is being served. Probes publish
     /// write-only snapshots into it at big-round boundaries; execution
@@ -295,7 +288,7 @@ impl ExecutorConfig {
         self
     }
 
-    /// Selects the engine implementation.
+    /// Kept for source compatibility only; see [`EngineKind`].
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
@@ -322,205 +315,6 @@ pub struct ExecStats {
     pub max_arc_queue: usize,
 }
 
-/// The per-(algorithm, node) step plan: `plan[a][v]` lists the big-round of
-/// each algorithm round `0, 1, 2, …` (a prefix of the rounds; truncation
-/// can cut it short).
-#[derive(Clone, Debug)]
-pub struct StepPlan {
-    pub(crate) plan: Vec<Vec<Vec<u64>>>,
-}
-
-impl StepPlan {
-    /// Builds the plan: round `r` of algorithm `a` at node `v` executes at
-    /// the earliest big-round over all eligible units.
-    ///
-    /// # Panics
-    /// Panics if units reference out-of-range algorithms or are missized.
-    #[allow(clippy::needless_range_loop)]
-    pub fn build(g: &Graph, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        let n = g.node_count();
-        let mut plan: Vec<Vec<Vec<u64>>> = algos.iter().map(|_| vec![Vec::new(); n]).collect();
-        // earliest[a][v][r]
-        let mut earliest: Vec<Vec<Vec<Option<u64>>>> = algos
-            .iter()
-            .map(|a| vec![vec![None; a.rounds() as usize]; n])
-            .collect();
-        for u in units {
-            assert!(u.algo < algos.len(), "unit for unknown algorithm");
-            assert_eq!(u.delay.len(), n, "delay vector missized");
-            assert_eq!(u.trunc.len(), n, "truncation vector missized");
-            assert!(u.stride >= 1, "stride must be at least 1");
-            let rounds = algos[u.algo].rounds();
-            for v in 0..n {
-                let lim = rounds.min(u.trunc[v]);
-                for r in 0..lim {
-                    let b = u.delay[v] + r as u64 * u.stride;
-                    let slot = &mut earliest[u.algo][v][r as usize];
-                    if slot.is_none_or(|cur| b < cur) {
-                        *slot = Some(b);
-                    }
-                }
-            }
-        }
-        for (a, per_node) in earliest.into_iter().enumerate() {
-            for (v, rounds) in per_node.into_iter().enumerate() {
-                let mut prev: Option<u64> = None;
-                for (r, slot) in rounds.into_iter().enumerate() {
-                    match slot {
-                        Some(b) => {
-                            assert!(
-                                plan[a][v].len() == r,
-                                "round {r} of algorithm {a} at node {v} scheduled \
-                                 without its predecessor"
-                            );
-                            if let Some(p) = prev {
-                                assert!(b > p, "step plan must be strictly increasing");
-                            }
-                            prev = Some(b);
-                            plan[a][v].push(b);
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
-        StepPlan { plan }
-    }
-
-    /// The big-rounds at which node `v` steps algorithm `a`.
-    pub fn steps(&self, a: usize, v: NodeId) -> &[u64] {
-        &self.plan[a][v.index()]
-    }
-
-    /// The last big-round with any step, or `None` for an empty plan.
-    pub fn last_big_round(&self) -> Option<u64> {
-        self.plan
-            .iter()
-            .flatten()
-            .filter_map(|s| s.last().copied())
-            .max()
-    }
-}
-
-/// A message in flight.
-pub(crate) struct Flight {
-    pub(crate) dst: NodeId,
-    pub(crate) algo: u32,
-    pub(crate) round: u32,
-    pub(crate) from: NodeId,
-    pub(crate) payload: Vec<u8>,
-}
-
-/// Per-arc FIFO of in-flight messages: a two-stack queue over plain `Vec`s
-/// (push onto `back`, pop from `front`, refill by reversing), keeping the
-/// hot path on flat storage whose allocations persist across big-rounds.
-#[derive(Default)]
-pub(crate) struct ArcFifo {
-    /// Pop end, stored in reverse arrival order.
-    front: Vec<Flight>,
-    /// Push end, in arrival order.
-    back: Vec<Flight>,
-}
-
-impl ArcFifo {
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.front.len() + self.back.len()
-    }
-
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.back.is_empty()
-    }
-
-    #[inline]
-    pub(crate) fn push_back(&mut self, f: Flight) {
-        self.back.push(f);
-    }
-
-    #[inline]
-    pub(crate) fn pop_front(&mut self) -> Option<Flight> {
-        if self.front.is_empty() {
-            self.front.extend(self.back.drain(..).rev());
-        }
-        self.front.pop()
-    }
-}
-
-/// Arrival buffer for one (algorithm, node) machine: inbox entries keyed by
-/// algorithm-round tag. The executor consumes tags strictly in order (step
-/// `r` consumes tag `r - 1`) and drops older arrivals as late, so the live
-/// tags form a window starting at the consumer's next tag. A flat ring over
-/// a power-of-two array of buckets therefore replaces a `BTreeMap`, with
-/// the bucket vectors reused across rounds.
-#[derive(Default)]
-pub(crate) struct TagWindow {
-    /// Smallest tag the window can currently hold.
-    base: u32,
-    /// Ring position of `base`'s bucket.
-    head: usize,
-    /// Power-of-two ring of buckets (empty until the first push).
-    buckets: Vec<Vec<(NodeId, Vec<u8>)>>,
-}
-
-impl TagWindow {
-    /// Files one arrival under `tag`. Requires `tag >= base`, which the
-    /// executor's late-drop check guarantees.
-    pub(crate) fn push(&mut self, tag: u32, from: NodeId, payload: Vec<u8>) {
-        debug_assert!(tag >= self.base, "arrival below the live window");
-        let offset = (tag - self.base) as usize;
-        if offset >= self.buckets.len() {
-            self.grow(offset + 1);
-        }
-        let pos = (self.head + offset) & (self.buckets.len() - 1);
-        self.buckets[pos].push((from, payload));
-    }
-
-    /// Moves the bucket for `tag` into `into` (clearing it first) and
-    /// advances the window past `tag`. Buckets below `tag` must already be
-    /// empty — the executor consumes tags strictly in order.
-    pub(crate) fn take(&mut self, tag: u32, into: &mut Vec<(NodeId, Vec<u8>)>) {
-        into.clear();
-        debug_assert!(tag >= self.base, "tags are consumed in order");
-        if self.buckets.is_empty() {
-            self.base = tag + 1;
-            return;
-        }
-        let len = self.buckets.len();
-        let offset = (tag - self.base) as usize;
-        if offset >= len {
-            // the window never stretched to this tag: nothing is stored
-            debug_assert!(self.buckets.iter().all(|b| b.is_empty()));
-            self.base = tag + 1;
-            self.head = 0;
-            return;
-        }
-        let mask = len - 1;
-        for i in 0..offset {
-            debug_assert!(
-                self.buckets[(self.head + i) & mask].is_empty(),
-                "skipped a live tag"
-            );
-        }
-        // swap rather than take, so `into`'s allocation returns to the ring
-        std::mem::swap(into, &mut self.buckets[(self.head + offset) & mask]);
-        self.head = (self.head + offset + 1) & mask;
-        self.base = tag + 1;
-    }
-
-    fn grow(&mut self, min_len: usize) {
-        let new_len = min_len.next_power_of_two().max(4);
-        let mut new_buckets: Vec<Vec<(NodeId, Vec<u8>)>> = Vec::with_capacity(new_len);
-        new_buckets.resize_with(new_len, Vec::new);
-        let old_len = self.buckets.len();
-        for (i, slot) in new_buckets.iter_mut().enumerate().take(old_len) {
-            *slot = std::mem::take(&mut self.buckets[(self.head + i) & (old_len - 1)]);
-        }
-        self.buckets = new_buckets;
-        self.head = 0;
-    }
-}
-
 /// Runs a scheduled execution; see the `exec` module docs at the top of
 /// this file for the semantics.
 pub struct Executor;
@@ -545,7 +339,7 @@ impl Executor {
         units: &[Unit],
         config: &ExecutorConfig,
     ) -> Result<ScheduleOutcome, ExecError> {
-        Self::run_with(g, algos, seeds, units, config, &mut ExecObs::disabled())
+        Self::run_with(g, algos, seeds, units, config, 1, None).map(|(outcome, _, _)| outcome)
     }
 
     /// Like [`Executor::run`], recording observability at the level `obs`
@@ -569,196 +363,8 @@ impl Executor {
         config: &ExecutorConfig,
         obs: &ObsConfig,
     ) -> Result<(ScheduleOutcome, Option<ObsReport>), ExecError> {
-        let mut probe = ExecObs::new(obs, 0);
-        probe.attach_live(config.live.clone());
-        let outcome = Self::run_with(g, algos, seeds, units, config, &mut probe)?;
-        Ok((outcome, probe.finish()))
-    }
-
-    /// The fused executor loop; `obs` hooks are self-guarded no-ops when
-    /// recording is off, so this is also [`Executor::run`]'s body. The body
-    /// below is the **row** engine — the executable specification; the
-    /// default [`EngineKind::Columnar`] dispatches to the batched loop in
-    /// `exec/columnar.rs`, which must match it byte-for-byte.
-    fn run_with(
-        g: &Graph,
-        algos: &[Box<dyn BlackBoxAlgorithm>],
-        seeds: &[u64],
-        units: &[Unit],
-        config: &ExecutorConfig,
-        obs: &mut ExecObs,
-    ) -> Result<ScheduleOutcome, ExecError> {
-        match config.engine {
-            EngineKind::Columnar => {
-                return columnar::run_fused(g, algos, seeds, units, config, obs)
-            }
-            EngineKind::ColumnarBatched => {
-                return columnar::run_fused_batched(g, algos, seeds, units, config, obs)
-            }
-            EngineKind::Row => {}
-        }
-        let n = g.node_count();
-        let k = algos.len();
-        assert_eq!(seeds.len(), k, "one seed per algorithm");
-        let plan = StepPlan::build(g, algos, units);
-
-        // Canonical machines and their progress.
-        let mut machines: Vec<Vec<Box<dyn crate::algorithm::AlgoNode>>> = (0..k)
-            .map(|a| {
-                (0..n)
-                    .map(|v| {
-                        algos[a].create_node(
-                            NodeId(v as u32),
-                            n,
-                            das_congest::util::seed_mix(seeds[a], v as u64),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut steps_done = vec![vec![0u32; n]; k];
-        // Buffered arrivals: one flat TagWindow per (algorithm, node),
-        // indexed densely at `a * n + v`.
-        let mut buffers: Vec<TagWindow> = Vec::with_capacity(k * n);
-        buffers.resize_with(k * n, TagWindow::default);
-        let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-
-        // Steps grouped by big-round: big-rounds are dense, so a flat Vec
-        // indexed by `b` replaces a BTreeMap.
-        let last_step_round = plan.last_big_round().unwrap_or(0);
-        let mut by_big_round: Vec<Vec<(u32, u32, u32)>> =
-            vec![Vec::new(); last_step_round as usize + 1];
-        for a in 0..k {
-            for v in 0..n {
-                for (r, &b) in plan.plan[a][v].iter().enumerate() {
-                    by_big_round[b as usize].push((a as u32, v as u32, r as u32));
-                }
-            }
-        }
-
-        let mut queues: Vec<ArcFifo> = Vec::with_capacity(g.arc_count());
-        queues.resize_with(g.arc_count(), ArcFifo::default);
-        let mut active_arcs: Vec<usize> = Vec::new();
-        obs.init(g.arc_count(), config.phase_len);
-        let mut stats = ExecStats {
-            phase_len: config.phase_len,
-            ..ExecStats::default()
-        };
-        let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-        let mut engine_round: u64 = 0;
-        let mut last_activity_round: u64 = 0;
-
-        let mut b: u64 = 0;
-        loop {
-            // 1. Execute the steps scheduled at big-round b.
-            if let Some(steps) = by_big_round.get(b as usize) {
-                for &(a, v, r) in steps {
-                    let (a, v) = (a as usize, v as usize);
-                    debug_assert_eq!(steps_done[a][v], r, "steps execute in order");
-                    if r == 0 {
-                        inbox.clear();
-                    } else {
-                        buffers[a * n + v].take(r - 1, &mut inbox);
-                    }
-                    // canonical inbox order, matching the reference runner
-                    inbox.sort();
-                    obs.on_step(inbox.len());
-                    let sends = machines[a][v].step(&inbox);
-                    steps_done[a][v] = r + 1;
-                    let me = NodeId(v as u32);
-                    let mut sent_to: Vec<NodeId> = Vec::new();
-                    for s in sends {
-                        let valid = g.find_edge(me, s.to).is_some()
-                            && s.payload.len() <= config.message_bytes
-                            && !sent_to.contains(&s.to);
-                        if !valid {
-                            stats.invalid_sends += 1;
-                            obs.on_invalid_send();
-                            continue;
-                        }
-                        sent_to.push(s.to);
-                        let edge = g.find_edge(me, s.to).expect("validated");
-                        let arc = g.arc_from(edge, me);
-                        let q = &mut queues[arc.index()];
-                        if q.is_empty() {
-                            active_arcs.push(arc.index());
-                        }
-                        q.push_back(Flight {
-                            dst: s.to,
-                            algo: a as u32,
-                            round: r,
-                            from: me,
-                            payload: s.payload,
-                        });
-                        stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                        obs.on_inject(arc.index(), q.len());
-                    }
-                }
-            }
-
-            // 2. Drain queues for phase_len engine rounds.
-            for _ in 0..config.phase_len {
-                let arcs = std::mem::take(&mut active_arcs);
-                for arc_idx in arcs {
-                    let Some(f) = queues[arc_idx].pop_front() else {
-                        continue;
-                    };
-                    if !queues[arc_idx].is_empty() {
-                        active_arcs.push(arc_idx);
-                    }
-                    let (a, v) = (f.algo as usize, f.dst.index());
-                    if config.record_departures {
-                        departures[a].insert(
-                            TimedArc {
-                                round: f.round,
-                                arc: das_graph::Arc::from_index(arc_idx),
-                            },
-                            engine_round as u32,
-                        );
-                    }
-                    let late = steps_done[a][v] >= f.round + 2;
-                    if late {
-                        stats.late_messages += 1;
-                    } else {
-                        buffers[a * n + v].push(f.round, f.from, f.payload);
-                        stats.delivered += 1;
-                    }
-                    obs.on_deliver(engine_round, late);
-                    last_activity_round = engine_round + 1;
-                }
-                engine_round += 1;
-                if engine_round > config.max_engine_rounds {
-                    return Err(ExecError::RoundCapExceeded {
-                        cap: config.max_engine_rounds,
-                        big_round: b,
-                    });
-                }
-            }
-
-            obs.end_big_round(b);
-            b += 1;
-            if b > last_step_round && active_arcs.is_empty() {
-                break;
-            }
-        }
-
-        stats.big_rounds = b;
-        // Schedule length: last big-round boundary with any step, extended
-        // by any drain tail.
-        stats.engine_rounds = (last_step_round + 1)
-            .saturating_mul(config.phase_len)
-            .max(last_activity_round);
-
-        let outputs = machines
-            .iter()
-            .map(|per_node| per_node.iter().map(|m| m.output()).collect())
-            .collect();
-        Ok(ScheduleOutcome {
-            outputs,
-            stats,
-            departures: config.record_departures.then_some(departures),
-            precompute_rounds: 0,
-        })
+        Self::run_with(g, algos, seeds, units, config, 1, Some(obs))
+            .map(|(outcome, _, report)| (outcome, report))
     }
 
     /// Executes `units` sharded: nodes are partitioned into
@@ -773,14 +379,16 @@ impl Executor {
     /// [`Executor::run`] for every plan and shard count: per-arc FIFO order
     /// is preserved (each arc has a unique source node, and each worker
     /// steps its nodes in the same order the sequential executor does),
-    /// lateness checks read only owner-local progress, inboxes are sorted
-    /// before every machine step, and departures merge into an ordered map.
+    /// cross-shard arrivals merge in ascending source-shard order, lateness
+    /// checks read only owner-local progress, inboxes are sorted before
+    /// every machine step, and departures merge into an ordered map.
     /// Wall-clock and traffic measurements that *do* depend on the
     /// partition are returned separately in the [`ShardReport`].
     ///
-    /// One dedicated thread per shard is spawned (independent of any rayon
-    /// pool and of `RAYON_NUM_THREADS`), so big-round barriers cannot
-    /// starve.
+    /// With more than one shard, one dedicated thread per shard is spawned
+    /// (independent of any rayon pool and of `RAYON_NUM_THREADS`), so
+    /// big-round barriers cannot starve; one shard runs on the caller's
+    /// thread.
     ///
     /// # Errors
     /// Returns [`ExecError::RoundCapExceeded`] if the queues have not
@@ -797,8 +405,16 @@ impl Executor {
         units: &[Unit],
         config: &ExecutorConfig,
     ) -> Result<(ScheduleOutcome, ShardReport), ExecError> {
-        Self::run_sharded_observed(g, algos, seeds, units, config, &ObsConfig::off())
-            .map(|(outcome, report, _)| (outcome, report))
+        Self::run_with(
+            g,
+            algos,
+            seeds,
+            units,
+            config,
+            config.shards,
+            Some(&ObsConfig::off()),
+        )
+        .map(|(outcome, report, _)| (outcome, report))
     }
 
     /// Like [`Executor::run_sharded`], recording observability at the level
@@ -824,124 +440,90 @@ impl Executor {
         config: &ExecutorConfig,
         obs: &ObsConfig,
     ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), ExecError> {
+        Self::run_with(g, algos, seeds, units, config, config.shards, Some(obs))
+    }
+
+    /// Every run's body: `shards` degree-balanced shards through the
+    /// engine core — one on the caller's thread with the no-op exchange,
+    /// more on one thread each with the in-process exchange. Each shard
+    /// carries its own probe (events land on its lane); `obs: None` runs
+    /// unobserved and unpublished.
+    fn run_with(
+        g: &Graph,
+        algos: &[Box<dyn BlackBoxAlgorithm>],
+        seeds: &[u64],
+        units: &[Unit],
+        config: &ExecutorConfig,
+        shards: usize,
+        obs: Option<&ObsConfig>,
+    ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), ExecError> {
+        assert_eq!(seeds.len(), algos.len(), "one seed per algorithm");
         let n = g.node_count();
-        let k = algos.len();
-        assert_eq!(seeds.len(), k, "one seed per algorithm");
-        let part = Partition::degree_balanced(g, config.shards);
+        let part = Partition::degree_balanced(g, shards);
         let s = part.shards();
-        let plan = StepPlan::build(g, algos, units);
-        let last_step_round = plan.last_big_round().unwrap_or(0);
-        let mut by_big_round: Vec<Vec<(u32, u32, u32)>> =
-            vec![Vec::new(); last_step_round as usize + 1];
-        for a in 0..k {
-            for v in 0..n {
-                for (r, &b) in plan.plan[a][v].iter().enumerate() {
-                    by_big_round[b as usize].push((a as u32, v as u32, r as u32));
-                }
-            }
-        }
-        // An arc is owned by the shard of its destination node: deliveries
-        // and lateness checks then touch only owner-local state.
-        let arc_owner: Vec<u32> = (0..g.arc_count())
-            .map(|i| {
-                let (_, dst) = g.arc_endpoints(das_graph::Arc::from_index(i));
-                part.of_node()[dst.index()]
-            })
-            .collect();
-        let outboxes: Vec<Mutex<Vec<(usize, Flight)>>> =
-            (0..s * s).map(|_| Mutex::new(Vec::new())).collect();
-        let ctx = ShardCtx {
+        let steps = FlatSteps::build(n, algos, units);
+        let spec = |me| ShardSpec {
             g,
             algos,
             seeds,
             config,
-            by_big_round: &by_big_round,
-            last_step_round,
-            part: &part,
-            arc_owner: &arc_owner,
-            outboxes: &outboxes,
-            barrier: &Barrier::new(s),
-            active_workers: &AtomicU64::new(0),
-            obs,
+            steps: &steps,
+            of_node: part.of_node(),
+            me,
         };
-        let results: Vec<Result<ShardOutput, ExecError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..s)
-                .map(|me| {
-                    let ctx = &ctx;
-                    scope.spawn(move || shard_worker(me, ctx))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        let mut workers = Vec::with_capacity(s);
-        for r in results {
-            workers.push(r?);
-        }
-
-        let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
-        let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-        let mut stats = ExecStats {
-            phase_len: config.phase_len,
-            ..ExecStats::default()
+        let probe = |me: usize| match obs {
+            Some(obs) => {
+                let mut p = ExecObs::new(obs, me as u32);
+                p.attach_live(config.live.clone());
+                p
+            }
+            None => ExecObs::disabled(),
         };
-        let mut last_activity_round = 0u64;
-        let mut report = ShardReport {
-            shards: s,
-            cross_shard_messages: 0,
-            per_shard: Vec::with_capacity(s),
+        let results: Vec<Result<(ShardOutput, Option<ObsReport>), ExecError>> = if s == 1 {
+            let mut p = probe(0);
+            vec![run_shard(&spec(0), &mut Alone, &mut p).map(|o| (o, p.finish()))]
+        } else {
+            let boundary = Boundary::new(s);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..s)
+                    .map(|me| {
+                        let (spec, probe, boundary) = (spec(me), &probe, &boundary);
+                        scope.spawn(move || {
+                            let mut p = probe(me);
+                            let mut exchange = Threaded::new(me, boundary);
+                            run_shard(&spec, &mut exchange, &mut p).map(|o| (o, p.finish()))
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            })
         };
+        let mut parts = Vec::with_capacity(s);
         let mut merged_obs: Option<ObsReport> = None;
-        for w in workers {
-            let ShardOutput {
-                own,
-                outputs: w_outputs,
-                departures: w_departures,
-                stats: w_stats,
-                last_activity_round: w_last,
-                big_rounds,
-                shard,
-                obs: w_obs,
-            } = w;
-            // Workers are consumed in shard order, so the merged report is
-            // deterministic for a fixed shard count.
-            if let Some(r) = w_obs {
+        for r in results {
+            let (out, report) = r?;
+            // shards are consumed in order, so the merged report is
+            // deterministic for a fixed shard count
+            if let Some(r) = report {
                 match &mut merged_obs {
                     Some(m) => m.merge(&r),
                     None => merged_obs = Some(r),
                 }
             }
-            stats.delivered += w_stats.delivered;
-            stats.late_messages += w_stats.late_messages;
-            stats.invalid_sends += w_stats.invalid_sends;
-            stats.max_arc_queue = stats.max_arc_queue.max(w_stats.max_arc_queue);
-            // every worker leaves the lockstep loop at the same big-round
-            stats.big_rounds = big_rounds;
-            last_activity_round = last_activity_round.max(w_last);
-            for (a, (outs, maps)) in w_outputs.into_iter().zip(w_departures).enumerate() {
-                for (li, out) in outs.into_iter().enumerate() {
-                    outputs[a][own[li]] = out;
-                }
-                departures[a].extend(maps);
-            }
-            report.cross_shard_messages += shard.cross_sent;
-            report.per_shard.push(shard);
+            parts.push(out);
         }
-        stats.engine_rounds = (last_step_round + 1)
-            .saturating_mul(config.phase_len)
-            .max(last_activity_round);
-        Ok((
-            ScheduleOutcome {
-                outputs,
-                stats,
-                departures: config.record_departures.then_some(departures),
-                precompute_rounds: 0,
-            },
-            report,
-            merged_obs,
-        ))
+        let (outcome, report) = merge(
+            n,
+            algos.len(),
+            config.phase_len,
+            steps.last_step_round,
+            config.record_departures,
+            parts,
+        );
+        Ok((outcome, report, merged_obs))
     }
 }
 
@@ -985,303 +567,17 @@ pub struct ShardReport {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// Read-only state shared by all shard workers.
-struct ShardCtx<'e> {
-    g: &'e Graph,
-    algos: &'e [Box<dyn BlackBoxAlgorithm>],
-    seeds: &'e [u64],
-    config: &'e ExecutorConfig,
-    by_big_round: &'e [Vec<(u32, u32, u32)>],
-    last_step_round: u64,
-    part: &'e Partition,
-    arc_owner: &'e [u32],
-    /// `outboxes[src * shards + dst]`: messages from shard `src` to arcs
-    /// owned by shard `dst`, staged during the step phase of a big-round.
-    outboxes: &'e [Mutex<Vec<(usize, Flight)>>],
-    barrier: &'e Barrier,
-    /// How many workers still have active arcs after the current
-    /// big-round's drain (reset by worker 0 between rounds).
-    active_workers: &'e AtomicU64,
-    /// Observability level; each worker builds its own probe from this.
-    obs: &'e ObsConfig,
-}
-
-/// What one shard worker hands back to be merged.
-struct ShardOutput {
-    /// Owned nodes, ascending (the local index space).
-    own: Vec<usize>,
-    /// `outputs[a][local]` for the owned nodes.
-    outputs: Vec<Vec<Option<Vec<u8>>>>,
-    departures: Vec<SimulationMap>,
-    stats: ExecStats,
-    last_activity_round: u64,
-    big_rounds: u64,
-    shard: ShardStats,
-    obs: Option<ObsReport>,
-}
-
-/// Waits on a shard barrier, sampling the wall-clock wait into the probe's
-/// side channel when enabled.
-#[inline]
-fn barrier_wait(barrier: &Barrier, obs: &mut ExecObs) {
-    if obs.wall_enabled() {
-        let t = Instant::now();
-        barrier.wait();
-        obs.on_barrier_wait_ns(t.elapsed().as_nanos() as u64);
-    } else {
-        barrier.wait();
-    }
-}
-
-/// The big-round-synchronous shard worker: mirrors [`Executor::run`]'s
-/// loop restricted to one shard's nodes and owned arcs, with three barriers
-/// per big-round (outboxes complete / activity posted / decision read).
-/// This body is the row engine; [`EngineKind::Columnar`] dispatches to the
-/// batched worker in `exec/columnar.rs`, which follows the same protocol.
-fn shard_worker(me: usize, ctx: &ShardCtx<'_>) -> Result<ShardOutput, ExecError> {
-    match ctx.config.engine {
-        EngineKind::Columnar => return columnar::shard_worker(me, ctx),
-        EngineKind::ColumnarBatched => return columnar::shard_worker_batched(me, ctx),
-        EngineKind::Row => {}
-    }
-    let g = ctx.g;
-    let config = ctx.config;
-    let n = g.node_count();
-    let k = ctx.algos.len();
-    let s = ctx.part.shards();
-    let own: Vec<usize> = (0..n)
-        .filter(|&v| ctx.part.of_node()[v] == me as u32)
-        .collect();
-    let own_n = own.len();
-    let mut local_of = vec![usize::MAX; n];
-    for (li, &v) in own.iter().enumerate() {
-        local_of[v] = li;
-    }
-    // Machines get the same per-node seed mix as the sequential path, so
-    // machine state is independent of the partition.
-    let mut machines: Vec<Vec<Box<dyn crate::algorithm::AlgoNode>>> = (0..k)
-        .map(|a| {
-            own.iter()
-                .map(|&v| {
-                    ctx.algos[a].create_node(
-                        NodeId(v as u32),
-                        n,
-                        das_congest::util::seed_mix(ctx.seeds[a], v as u64),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let mut steps_done = vec![vec![0u32; own_n]; k];
-    let mut buffers: Vec<TagWindow> = Vec::with_capacity(k * own_n);
-    buffers.resize_with(k * own_n, TagWindow::default);
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    // Full-width arc array for global indexing; this worker only ever
-    // touches the arcs it owns.
-    let mut queues: Vec<ArcFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ArcFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut obs = ExecObs::new(ctx.obs, me as u32);
-    obs.attach_live(config.live.clone());
-    obs.init(g.arc_count(), config.phase_len);
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-    let mut shard = ShardStats {
-        shard: me,
-        nodes: own_n,
-        degree: own.iter().map(|&v| g.degree(NodeId(v as u32))).sum(),
-        ..ShardStats::default()
-    };
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-    let mut b: u64 = 0;
-    loop {
-        // 1. Step phase: this shard's share of big-round b's steps, in the
-        // same (algorithm, node, round) order the sequential executor uses
-        // — per-arc push order is therefore identical (each arc has one
-        // source node, owned by one shard).
-        let t_step = Instant::now();
-        if let Some(steps) = ctx.by_big_round.get(b as usize) {
-            for &(a, v, r) in steps {
-                let (a, v) = (a as usize, v as usize);
-                let li = local_of[v];
-                if li == usize::MAX {
-                    continue;
-                }
-                debug_assert_eq!(steps_done[a][li], r, "steps execute in order");
-                if r == 0 {
-                    inbox.clear();
-                } else {
-                    buffers[a * own_n + li].take(r - 1, &mut inbox);
-                }
-                // canonical inbox order, matching the reference runner
-                inbox.sort();
-                obs.on_step(inbox.len());
-                let sends = machines[a][li].step(&inbox);
-                steps_done[a][li] = r + 1;
-                shard.steps += 1;
-                let me_node = NodeId(v as u32);
-                let mut sent_to: Vec<NodeId> = Vec::new();
-                for snd in sends {
-                    let valid = g.find_edge(me_node, snd.to).is_some()
-                        && snd.payload.len() <= config.message_bytes
-                        && !sent_to.contains(&snd.to);
-                    if !valid {
-                        stats.invalid_sends += 1;
-                        obs.on_invalid_send();
-                        continue;
-                    }
-                    sent_to.push(snd.to);
-                    let edge = g.find_edge(me_node, snd.to).expect("validated");
-                    let arc = g.arc_from(edge, me_node);
-                    let idx = arc.index();
-                    let flight = Flight {
-                        dst: snd.to,
-                        algo: a as u32,
-                        round: r,
-                        from: me_node,
-                        payload: snd.payload,
-                    };
-                    let owner = ctx.arc_owner[idx] as usize;
-                    if owner == me {
-                        let q = &mut queues[idx];
-                        if q.is_empty() {
-                            active_arcs.push(idx);
-                        }
-                        q.push_back(flight);
-                        stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                        obs.on_inject(idx, q.len());
-                    } else {
-                        shard.cross_sent += 1;
-                        obs.on_cross_send();
-                        ctx.outboxes[me * s + owner]
-                            .lock()
-                            .expect("outbox lock")
-                            .push((idx, flight));
-                    }
-                }
-            }
-        }
-        shard.step_nanos += t_step.elapsed().as_nanos() as u64;
-
-        // All outboxes for big-round b are complete.
-        barrier_wait(ctx.barrier, &mut obs);
-
-        let t_drain = Instant::now();
-        // 2. Merge cross-shard arrivals into the owned queues — the shard
-        // boundary crossing, once per big-round. Within a big-round the
-        // queue's push set (and per-arc order) equals the sequential one.
-        for src in 0..s {
-            if src == me {
-                continue;
-            }
-            let incoming =
-                std::mem::take(&mut *ctx.outboxes[src * s + me].lock().expect("outbox lock"));
-            for (idx, flight) in incoming {
-                let q = &mut queues[idx];
-                if q.is_empty() {
-                    active_arcs.push(idx);
-                }
-                q.push_back(flight);
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                obs.on_inject(idx, q.len());
-            }
-        }
-
-        // 3. Drain the owned queues for phase_len engine rounds, exactly as
-        // the sequential executor does. Lateness checks read steps_done of
-        // the destination node, which this shard owns — no cross-shard
-        // progress is ever consulted.
-        for _ in 0..config.phase_len {
-            let arcs = std::mem::take(&mut active_arcs);
-            for arc_idx in arcs {
-                let Some(f) = queues[arc_idx].pop_front() else {
-                    continue;
-                };
-                if !queues[arc_idx].is_empty() {
-                    active_arcs.push(arc_idx);
-                }
-                let (a, li) = (f.algo as usize, local_of[f.dst.index()]);
-                debug_assert_ne!(li, usize::MAX, "arc delivered to a foreign shard");
-                if config.record_departures {
-                    departures[a].insert(
-                        TimedArc {
-                            round: f.round,
-                            arc: das_graph::Arc::from_index(arc_idx),
-                        },
-                        engine_round as u32,
-                    );
-                }
-                let late = steps_done[a][li] >= f.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    buffers[a * own_n + li].push(f.round, f.from, f.payload);
-                    stats.delivered += 1;
-                }
-                obs.on_deliver(engine_round, late);
-                last_activity_round = engine_round + 1;
-            }
-            engine_round += 1;
-            if engine_round > config.max_engine_rounds {
-                // every worker's engine-round counter is identical, so all
-                // workers take this branch in lockstep — nobody is left
-                // waiting at a barrier
-                return Err(ExecError::RoundCapExceeded {
-                    cap: config.max_engine_rounds,
-                    big_round: b,
-                });
-            }
-        }
-        shard.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-        obs.end_big_round(b);
-
-        // 4. Termination: post activity, agree on it, and let worker 0
-        // reset the counter strictly after everyone has read it (barrier)
-        // and strictly before anyone can post again (the next step-phase
-        // barrier).
-        if !active_arcs.is_empty() {
-            ctx.active_workers.fetch_add(1, Ordering::SeqCst);
-        }
-        barrier_wait(ctx.barrier, &mut obs);
-        let any_active = ctx.active_workers.load(Ordering::SeqCst) > 0;
-        b += 1;
-        let done = b > ctx.last_step_round && !any_active;
-        barrier_wait(ctx.barrier, &mut obs);
-        if me == 0 {
-            ctx.active_workers.store(0, Ordering::SeqCst);
-        }
-        if done {
-            break;
-        }
-    }
-
-    shard.delivered = stats.delivered;
-    let outputs = machines
-        .iter()
-        .map(|per_node| per_node.iter().map(|m| m.output()).collect())
-        .collect();
-    Ok(ShardOutput {
-        own,
-        outputs,
-        departures,
-        stats,
-        last_activity_round,
-        big_rounds: b,
-        shard,
-        obs: obs.finish(),
-    })
-}
+#[cfg(test)]
+#[path = "../tests/support/row_oracle.rs"]
+mod row_oracle;
 
 #[cfg(test)]
 mod tests {
+    use super::row_oracle;
     use super::*;
     use crate::problem::DasProblem;
     use crate::synthetic::{FloodBall, RelayChain};
-    use das_graph::generators;
+    use das_graph::{generators, NodeId};
 
     #[test]
     fn single_algorithm_zero_delay_matches_reference() {
@@ -1457,18 +753,7 @@ mod tests {
     #[test]
     fn sharded_outcome_matches_sequential_byte_for_byte() {
         let g = generators::grid(4, 4);
-        // snake route over the grid: left-to-right on even rows,
-        // right-to-left on odd (consecutive hops are grid edges)
-        let route: Vec<NodeId> = (0..4)
-            .flat_map(|row: u32| {
-                let cols: Vec<u32> = if row.is_multiple_of(2) {
-                    (0..4).collect()
-                } else {
-                    (0..4).rev().collect()
-                };
-                cols.into_iter().map(move |c| NodeId(row * 4 + c))
-            })
-            .collect();
+        let route = snake(&g);
         let p = DasProblem::new(
             &g,
             vec![
@@ -1507,11 +792,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_and_columnar_engines_agree_byte_for_byte() {
-        let g = generators::grid(4, 4);
-        // snake route over the grid, as in the sharded byte-identity test
-        let route: Vec<NodeId> = (0..4)
+    /// The snake route over a 4x4 grid: left-to-right on even rows,
+    /// right-to-left on odd (consecutive hops are grid edges).
+    fn snake(g: &Graph) -> Vec<NodeId> {
+        assert_eq!(g.node_count(), 16);
+        (0..4)
             .flat_map(|row: u32| {
                 let cols: Vec<u32> = if row.is_multiple_of(2) {
                     (0..4).collect()
@@ -1520,7 +805,13 @@ mod tests {
                 };
                 cols.into_iter().map(move |c| NodeId(row * 4 + c))
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn engine_matches_row_oracle_byte_for_byte() {
+        let g = generators::grid(4, 4);
+        let route = snake(&g);
         let p = DasProblem::new(
             &g,
             vec![
@@ -1537,46 +828,19 @@ mod tests {
             Unit::global(2, 1, 16),
         ];
         for phase_len in [1, 2, 5] {
-            let base = ExecutorConfig::default().with_phase_len(phase_len);
-            let row = Executor::run(
-                &g,
-                p.algorithms(),
-                &seeds,
-                &units,
-                &base.clone().with_engine(EngineKind::Row),
-            )
-            .unwrap();
-            let col = Executor::run(
-                &g,
-                p.algorithms(),
-                &seeds,
-                &units,
-                &base.clone().with_engine(EngineKind::Columnar),
-            )
-            .unwrap();
+            let config = ExecutorConfig::default().with_phase_len(phase_len);
+            let oracle = row_oracle::run(&g, p.algorithms(), &seeds, &units, &config).unwrap();
+            let fused = Executor::run(&g, p.algorithms(), &seeds, &units, &config).unwrap();
             assert_eq!(
-                format!("{row:?}"),
-                format!("{col:?}"),
+                format!("{oracle:?}"),
+                format!("{fused:?}"),
                 "phase_len = {phase_len}"
-            );
-            let batched = Executor::run(
-                &g,
-                p.algorithms(),
-                &seeds,
-                &units,
-                &base.clone().with_engine(EngineKind::ColumnarBatched),
-            )
-            .unwrap();
-            assert_eq!(
-                format!("{row:?}"),
-                format!("{batched:?}"),
-                "phase_len = {phase_len} (batched)"
             );
         }
     }
 
     #[test]
-    fn row_and_columnar_engines_agree_on_the_round_cap_error() {
+    fn engine_matches_row_oracle_on_the_round_cap_error() {
         let g = generators::path(6);
         let p = DasProblem::new(
             &g,
@@ -1592,32 +856,9 @@ mod tests {
             max_engine_rounds: 3,
             ..ExecutorConfig::default()
         };
-        let row = Executor::run(
-            &g,
-            p.algorithms(),
-            &seeds,
-            &units,
-            &config.clone().with_engine(EngineKind::Row),
-        )
-        .unwrap_err();
-        let col = Executor::run(
-            &g,
-            p.algorithms(),
-            &seeds,
-            &units,
-            &config.clone().with_engine(EngineKind::Columnar),
-        )
-        .unwrap_err();
-        assert_eq!(row, col);
-        let batched = Executor::run(
-            &g,
-            p.algorithms(),
-            &seeds,
-            &units,
-            &config.with_engine(EngineKind::ColumnarBatched),
-        )
-        .unwrap_err();
-        assert_eq!(row, batched);
+        let oracle = row_oracle::run(&g, p.algorithms(), &seeds, &units, &config).unwrap_err();
+        let fused = Executor::run(&g, p.algorithms(), &seeds, &units, &config).unwrap_err();
+        assert_eq!(oracle, fused);
     }
 
     #[test]
@@ -1630,7 +871,7 @@ mod tests {
             stride: 3,
             trunc: vec![u32::MAX; 4],
         }];
-        let plan = StepPlan::build(&g, p.algorithms(), &units);
+        let plan = row_oracle::StepPlan::build(&g, p.algorithms(), &units);
         assert_eq!(plan.steps(0, NodeId(0)), &[0, 3, 6]);
         let outcome = Executor::run(
             &g,
@@ -1641,5 +882,82 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
+    }
+
+    /// Two units per algorithm with truncation holes and strides above 1:
+    /// the general case of the step table, which only the oracle's
+    /// `StepPlan` spells out. The core must match the oracle fused and at
+    /// every shard count, and its step table must agree with `StepPlan`.
+    #[test]
+    fn multi_unit_plans_match_the_oracle() {
+        let g = generators::grid(4, 4);
+        let route = snake(&g);
+        let p = DasProblem::new(
+            &g,
+            vec![
+                Box::new(RelayChain::along(0, &g, route.clone())) as Box<dyn BlackBoxAlgorithm>,
+                Box::new(FloodBall::new(1, &g, NodeId(5), 4)),
+                Box::new(RelayChain::along(2, &g, route.into_iter().rev().collect())),
+            ],
+            13,
+        );
+        let seeds = [p.algo_seed(0), p.algo_seed(1), p.algo_seed(2)];
+        let n = 16;
+        let mut units = Vec::new();
+        for a in 0..3 {
+            // an early, strided unit truncated short at every third node
+            // (and dropped entirely at every fifth), plus a late stride-1
+            // unit that carries the rest
+            units.push(Unit {
+                algo: a,
+                delay: (0..n as u64).map(|v| (v + a as u64) % 4).collect(),
+                stride: 2 + a as u64,
+                trunc: (0..n as u32)
+                    .map(|v| match v {
+                        v if v % 5 == 0 => 0,
+                        v if v % 3 == 0 => 2,
+                        _ => u32::MAX,
+                    })
+                    .collect(),
+            });
+            units.push(Unit {
+                algo: a,
+                delay: (0..n as u64).map(|v| 3 + (v * 7 + a as u64) % 5).collect(),
+                stride: 1,
+                trunc: vec![u32::MAX; n],
+            });
+        }
+        let step_plan = row_oracle::StepPlan::build(&g, p.algorithms(), &units);
+        let flat = FlatSteps::build(n, p.algorithms(), &units);
+        let mut from_flat = vec![vec![Vec::new(); n]; 3];
+        for b in 0..=flat.last_step_round {
+            for &(a, v, r) in flat.at(b) {
+                assert_eq!(from_flat[a as usize][v as usize].len(), r as usize);
+                from_flat[a as usize][v as usize].push(b);
+            }
+        }
+        for (a, per_node) in from_flat.iter().enumerate() {
+            for (v, steps) in per_node.iter().enumerate() {
+                assert_eq!(steps, step_plan.steps(a, NodeId(v as u32)), "a {a} v {v}");
+            }
+        }
+        assert_eq!(Some(flat.last_step_round), step_plan.last_big_round());
+        assert_eq!(
+            FlatSteps::last_big_round(n, p.algorithms(), &units),
+            step_plan.last_big_round()
+        );
+        for phase_len in [1, 3] {
+            let config = ExecutorConfig::default().with_phase_len(phase_len);
+            let oracle = row_oracle::run(&g, p.algorithms(), &seeds, &units, &config).unwrap();
+            let want = format!("{oracle:?}");
+            let fused = Executor::run(&g, p.algorithms(), &seeds, &units, &config).unwrap();
+            assert_eq!(want, format!("{fused:?}"), "fused, phase_len {phase_len}");
+            for shards in [2, 3, 7] {
+                let config = config.clone().with_shards(shards);
+                let (sharded, _) =
+                    Executor::run_sharded(&g, p.algorithms(), &seeds, &units, &config).unwrap();
+                assert_eq!(want, format!("{sharded:?}"), "{shards} shards");
+            }
+        }
     }
 }

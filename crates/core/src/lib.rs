@@ -59,6 +59,10 @@
 
 #![warn(missing_docs)]
 
+// Lets unit tests include the row oracle, which names the crate.
+#[cfg(test)]
+extern crate self as das_core;
+
 mod algorithm;
 mod exec;
 mod problem;
@@ -83,8 +87,7 @@ pub use algorithm::{
 };
 pub use doubling::{DoublingConfig, DoublingOutcome, PlanCacheStats};
 pub use exec::{
-    EngineKind, ExecError, ExecStats, Executor, ExecutorConfig, ShardReport, ShardStats, StepPlan,
-    Unit,
+    EngineKind, ExecError, ExecStats, Executor, ExecutorConfig, ShardReport, ShardStats, Unit,
 };
 pub use net::{
     execute_plan_networked, graph_fingerprint, install_ctrl_c, plan_hash, problem_fingerprint,

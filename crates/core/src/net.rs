@@ -17,9 +17,11 @@
 //!   ([`ExecError::LateJoin`]).
 //! * A **worker** builds the identical problem locally (same graph,
 //!   workload, and tape seed — enforced by the fingerprint), recomputes the
-//!   same degree-balanced [`Partition`], and runs the row-engine shard loop
-//!   verbatim, with the three in-process barriers replaced by two framed
-//!   round-trips (OUTBOX → INBOX, ACTIVITY → DECISION).
+//!   same degree-balanced [`Partition`], and runs the engine core's
+//!   big-round loop (the one every execution uses) through a framed-TCP
+//!   boundary exchange: the three in-process barriers become two framed
+//!   round-trips (OUTBOX → INBOX, ACTIVITY → DECISION), and a round cap
+//!   becomes an ERROR frame.
 //!
 //! ## The network-barrier invariant
 //!
@@ -37,6 +39,11 @@
 //!   in-process outbox sweep (`for src in 0..s`);
 //! * lateness checks read only the destination worker's own `steps_done`,
 //!   which never crosses the wire;
+//! * a flight crosses the wire as `(arc, algo, round, payload)` only —
+//!   its endpoints come from the worker's own arc table — and a worker
+//!   rejects a flight on an arc it does not own, for an unknown
+//!   algorithm, or tagged past its algorithm's last round with a typed
+//!   [`ExecError::Net`];
 //! * the termination decision is computed from the same `(big_round,
 //!   any_active)` pair the in-process 3-barrier protocol agrees on.
 //!
@@ -50,15 +57,15 @@
 //! Ctrl-C aborts the process.
 
 use crate::exec::{
-    ArcFifo, ExecError, ExecStats, ExecutorConfig, Flight, ShardReport, ShardStats, StepPlan,
-    TagWindow,
+    merge, run_shard, BoundaryExchange, ExecError, ExecStats, ExecutorConfig, FlatSteps,
+    ShardOutput, ShardReport, ShardSpec, ShardStats,
 };
 use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
 use das_graph::NodeId;
-use das_pattern::{SimulationMap, TimedArc};
+use das_obs::ExecObs;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,7 +78,11 @@ use std::time::{Duration, Instant};
 /// v2: ASSIGN ships a per-shard plan *slice* (guarded by its own hash next
 /// to the full-plan hash) instead of the full plan, late JOINs get a typed
 /// REJECT, and the serve-path frames (HELLO/CAPS/SUBMIT/…) exist.
-pub const PROTOCOL_VERSION: u32 = 2;
+///
+/// v3: a flight is `(arc, algo, round, payload)` — no `dst`/`from`, which
+/// the receiver derives from the arc — and DONE carries departures as flat
+/// `(algo, round, arc, engine_round)` tuples.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame kinds of the wire protocol (the byte after the length prefix).
 /// Public so integration tests can speak the protocol against real
@@ -87,20 +98,25 @@ pub mod wire {
     /// coordinator → worker: `code: u32, ours: u64, theirs: u64` — the
     /// handshake failed; decodes to a typed error worker-side.
     pub const REJECT: u8 = 3;
-    /// worker → coordinator: `big_round: u64`, then per destination shard
-    /// a group of cross-shard flights staged during the step phase.
+    /// worker → coordinator: `big_round: u64, groups: u32`, then per
+    /// destination shard `shard: u32, count: u32` and that many flights
+    /// `arc: u32, algo: u32, round: u32, payload: bytes`, staged during
+    /// the step phase.
     pub const OUTBOX: u8 = 4;
-    /// coordinator → worker: `big_round: u64`, the flights bound for this
-    /// shard, pre-merged in ascending source-shard order.
+    /// coordinator → worker: `big_round: u64, count: u32`, then the
+    /// flights bound for this shard (encoded as in OUTBOX), pre-merged in
+    /// ascending source-shard order.
     pub const INBOX: u8 = 5;
     /// worker → coordinator: `big_round: u64, active: u8` — whether this
-    /// shard still holds undrained arcs after the drain phase.
+    /// shard still holds undrained arcs after the drain phase — then the
+    /// shard's cumulative `steps, delivered, late, cross_sent: u64`.
     pub const ACTIVITY: u8 = 6;
     /// coordinator → worker: `big_round: u64, done: u8` — the agreed
     /// termination decision for this big-round.
     pub const DECISION: u8 = 7;
-    /// worker → coordinator: outputs, departures, and stats of the
-    /// finished shard.
+    /// worker → coordinator: stats, outputs (`tag: u8 [, bytes]` per
+    /// owned node per algorithm), and departures (`count: u64`, then
+    /// `algo, round, arc, engine_round: u32` each) of the finished shard.
     pub const DONE: u8 = 8;
     /// worker → coordinator: `cap: u64, big_round: u64` — the engine
     /// round cap fired (all workers hit it in lockstep).
@@ -670,6 +686,8 @@ fn run_coordinator(
         }
     }
     doorman_stop.store(true, Ordering::SeqCst);
+    // the doorman parks between polls; wake it so the join is immediate
+    doorman.thread().unpark();
     let _ = doorman.join();
     let outcome = result?;
     let traffic: Vec<LinkTraffic> = conns.iter().map(|c| c.traffic.clone()).collect();
@@ -695,6 +713,11 @@ fn run_coordinator(
     Ok((outcome, NetReport { shard, traffic }))
 }
 
+/// First and last sleep of [`accept_workers`]' poll while no worker is
+/// pending.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(20);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(10);
+
 /// Accepts and handshakes one connection per shard, in shard order. The
 /// listener is polled non-blocking under the configured deadline so a
 /// stop request (Ctrl-C) or a missing worker can never hang the accept
@@ -714,6 +737,10 @@ fn accept_workers(
     })?;
     let deadline = Instant::now() + net.io_timeout();
     let mut conns: Vec<FramedConn> = Vec::with_capacity(s);
+    // Workers that are already on their way (in-process threads, local
+    // processes) connect within microseconds, so the poll starts short and
+    // backs off: a fixed 10 ms sleep would add a random 0–10 ms to a run.
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     while conns.len() < s {
         if net.stopped() {
             return Err(ExecError::Aborted {
@@ -740,6 +767,7 @@ fn accept_workers(
                     part,
                 )?;
                 conns.push(conn);
+                backoff = ACCEPT_BACKOFF_MIN;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
@@ -751,7 +779,8 @@ fn accept_workers(
                         ms: net.io_timeout_ms,
                     });
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
             }
             Err(e) => {
                 return Err(ExecError::Net {
@@ -767,7 +796,8 @@ fn accept_workers(
 /// any connection accepted after all shard slots are assigned gets its one
 /// frame read (best-effort) and a `REJECT_FULL` reply, which workers
 /// decode to [`ExecError::LateJoin`]. The thread polls non-blocking (the
-/// listener already is) and exits promptly once `stop` is set.
+/// listener already is), parking between polls, and exits as soon as
+/// `stop` is set and the thread is unparked.
 fn spawn_doorman(
     listener: TcpListener,
     shards: usize,
@@ -793,10 +823,7 @@ fn spawn_doorman(
                     w.u64(shards as u64);
                     let _ = conn.send(wire::REJECT, &w.buf, "doorman (REJECT)");
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => std::thread::park_timeout(Duration::from_millis(10)),
             }
         }
     })
@@ -860,19 +887,6 @@ fn handshake_worker(
         .map_err(|e| for_worker(e, shard))
 }
 
-/// Everything a finished worker ships back in its DONE frame.
-struct ShardDone {
-    outputs: Vec<Vec<Option<Vec<u8>>>>,
-    departures: Vec<SimulationMap>,
-    delivered: u64,
-    late_messages: u64,
-    invalid_sends: u64,
-    max_arc_queue: usize,
-    last_activity_round: u64,
-    big_rounds: u64,
-    shard: ShardStats,
-}
-
 /// The coordinator's relay loop plus the final merge. Mirrors
 /// [`crate::Executor::run_sharded`]'s merge exactly — the outcome is
 /// byte-identical.
@@ -883,13 +897,12 @@ fn coordinator_protocol(
     conns: &mut [FramedConn],
     net: &NetConfig,
 ) -> Result<(ScheduleOutcome, ShardReport), ExecError> {
-    let g = problem.graph();
-    let n = g.node_count();
+    let n = problem.graph().node_count();
     let k = problem.k();
     let s = part.shards();
     let phase_len = plan.phase_len.max(1);
-    let steps = StepPlan::build(g, problem.algorithms(), &plan.units);
-    let last_step_round = steps.last_big_round().unwrap_or(0);
+    let last_step_round =
+        FlatSteps::last_big_round(n, problem.algorithms(), &plan.units).unwrap_or(0);
 
     let mut b: u64 = 0;
     loop {
@@ -905,25 +918,9 @@ fn coordinator_protocol(
         let mut routed_bodies: Vec<Vec<u8>> = vec![Vec::new(); s];
         let mut routed_counts: Vec<u32> = vec![0; s];
         for (src, conn) in conns.iter_mut().enumerate() {
-            let (kind, body) = conn
-                .recv("collecting outboxes")
-                .map_err(|e| for_worker(e, src))?;
-            match kind {
-                wire::OUTBOX => {}
-                wire::ERROR => return Err(decode_worker_error(&body)?),
-                other => {
-                    return Err(ExecError::Net {
-                        detail: format!("expected OUTBOX from shard {src}, got kind {other}"),
-                    })
-                }
-            }
+            let body = recv_from(conn, src, wire::OUTBOX, "OUTBOX", Some(b))?;
             let mut r = ByteReader::new(&body);
-            let round = r.u64("OUTBOX big-round")?;
-            if round != b {
-                return Err(ExecError::Net {
-                    detail: format!("shard {src} sent OUTBOX for big-round {round}, expected {b}"),
-                });
-            }
+            r.u64("OUTBOX big-round")?;
             let groups = r.u32("OUTBOX group count")?;
             for _ in 0..groups {
                 let dst = r.u32("OUTBOX group shard")? as usize;
@@ -954,39 +951,16 @@ fn coordinator_protocol(
         // 3. Collect post-drain activity.
         let mut any_active = false;
         for (src, conn) in conns.iter_mut().enumerate() {
-            let (kind, body) = conn
-                .recv("collecting activity")
-                .map_err(|e| for_worker(e, src))?;
-            match kind {
-                wire::ACTIVITY => {}
-                wire::ERROR => return Err(decode_worker_error(&body)?),
-                other => {
-                    return Err(ExecError::Net {
-                        detail: format!("expected ACTIVITY from shard {src}, got kind {other}"),
-                    })
-                }
-            }
+            let body = recv_from(conn, src, wire::ACTIVITY, "ACTIVITY", Some(b))?;
             let mut r = ByteReader::new(&body);
-            let round = r.u64("ACTIVITY big-round")?;
-            if round != b {
-                return Err(ExecError::Net {
-                    detail: format!(
-                        "shard {src} sent ACTIVITY for big-round {round}, expected {b}"
-                    ),
-                });
-            }
+            r.u64("ACTIVITY big-round")?;
             any_active |= r.u8("ACTIVITY flag")? != 0;
-            // Workers piggyback cumulative totals after the flag; a bare
-            // flag (older worker) is still valid, so only read the tail if
-            // it is present.
-            if r.pos < body.len() {
-                let steps = r.u64("ACTIVITY steps")?;
-                let delivered = r.u64("ACTIVITY delivered")?;
-                let late = r.u64("ACTIVITY late")?;
-                let cross = r.u64("ACTIVITY cross-sent")?;
-                if let Some(hub) = &net.live {
-                    hub.publish_worker_totals(src as u32, b, steps, delivered, late, cross);
-                }
+            let steps = r.u64("ACTIVITY steps")?;
+            let delivered = r.u64("ACTIVITY delivered")?;
+            let late = r.u64("ACTIVITY late")?;
+            let cross = r.u64("ACTIVITY cross-sent")?;
+            if let Some(hub) = &net.live {
+                hub.publish_worker_totals(src as u32, b, steps, delivered, late, cross);
             }
         }
         if let Some(hub) = &net.live {
@@ -1021,74 +995,53 @@ fn coordinator_protocol(
         }
     }
 
-    // Collect DONE frames and merge in shard order, exactly as
-    // run_sharded_observed merges its ShardOutputs.
-    let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-    let mut stats = ExecStats {
-        phase_len,
-        ..ExecStats::default()
-    };
-    let mut last_activity_round = 0u64;
-    let mut report = ShardReport {
-        shards: s,
-        cross_shard_messages: 0,
-        per_shard: Vec::with_capacity(s),
-    };
+    // Collect DONE frames and merge in shard order, exactly as the
+    // in-process sharded run merges its shards.
+    let mut parts = Vec::with_capacity(s);
     for (src, conn) in conns.iter_mut().enumerate() {
-        let (kind, body) = conn
-            .recv("collecting results")
-            .map_err(|e| for_worker(e, src))?;
-        match kind {
-            wire::DONE => {}
-            wire::ERROR => return Err(decode_worker_error(&body)?),
-            other => {
-                return Err(ExecError::Net {
-                    detail: format!("expected DONE from shard {src}, got kind {other}"),
-                })
-            }
-        }
-        let own: Vec<usize> = (0..n)
-            .filter(|&v| part.of_node()[v] == src as u32)
-            .collect();
-        let done = decode_done(&body, k, own.len())?;
-        stats.delivered += done.delivered;
-        stats.late_messages += done.late_messages;
-        stats.invalid_sends += done.invalid_sends;
-        stats.max_arc_queue = stats.max_arc_queue.max(done.max_arc_queue);
-        // every worker leaves the lockstep loop at the same big-round
-        stats.big_rounds = done.big_rounds;
-        last_activity_round = last_activity_round.max(done.last_activity_round);
-        for (a, (outs, maps)) in done.outputs.into_iter().zip(done.departures).enumerate() {
-            for (li, out) in outs.into_iter().enumerate() {
-                outputs[a][own[li]] = out;
-            }
-            departures[a].extend(maps);
-        }
-        report.cross_shard_messages += done.shard.cross_sent;
-        report.per_shard.push(done.shard);
+        let body = recv_from(conn, src, wire::DONE, "DONE", None)?;
+        parts.push(decode_done(&body, k, part.nodes_of(src))?);
     }
-    stats.engine_rounds = (last_step_round + 1)
-        .saturating_mul(phase_len)
-        .max(last_activity_round);
-    Ok((
-        ScheduleOutcome {
-            outputs,
-            stats,
-            departures: Some(departures),
-            precompute_rounds: 0,
-        },
-        report,
-    ))
+    Ok(merge(n, k, phase_len, last_step_round, true, parts))
+}
+
+/// Receives shard `src`'s next frame, which must be `kind` (named `name`)
+/// and, with `round`, be for that big-round. An ERROR frame instead
+/// decodes to the round cap the worker hit.
+fn recv_from(
+    conn: &mut FramedConn,
+    src: usize,
+    kind: u8,
+    name: &str,
+    round: Option<u64>,
+) -> Result<Vec<u8>, ExecError> {
+    let (got, body) = conn
+        .recv(&format!("collecting {name}"))
+        .map_err(|e| for_worker(e, src))?;
+    if got == wire::ERROR {
+        return Err(decode_worker_error(&body)?);
+    }
+    if got != kind {
+        return Err(ExecError::Net {
+            detail: format!("expected {name} from shard {src}, got kind {got}"),
+        });
+    }
+    if let Some(b) = round {
+        let sent = ByteReader::new(&body).u64(&format!("{name} big-round"))?;
+        if sent != b {
+            return Err(ExecError::Net {
+                detail: format!("shard {src} sent {name} for big-round {sent}, expected {b}"),
+            });
+        }
+    }
+    Ok(body)
 }
 
 /// Advances a reader past one encoded flight.
 fn skip_flight(r: &mut ByteReader<'_>) -> Result<(), ExecError> {
     r.u32("flight arc")?;
-    r.u32("flight dst")?;
     r.u32("flight algo")?;
     r.u32("flight round")?;
-    r.u32("flight from")?;
     r.bytes("flight payload")?;
     Ok(())
 }
@@ -1102,14 +1055,60 @@ fn decode_worker_error(body: &[u8]) -> Result<ExecError, ExecError> {
     Ok(ExecError::RoundCapExceeded { cap, big_round })
 }
 
-fn decode_done(body: &[u8], k: usize, own_n: usize) -> Result<ShardDone, ExecError> {
+/// Encodes a finished shard's DONE body; [`decode_done`] is its inverse.
+fn encode_done(out: &ShardOutput) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(out.big_rounds);
+    w.u64(out.last_activity_round);
+    w.u64(out.stats.delivered);
+    w.u64(out.stats.late_messages);
+    w.u64(out.stats.invalid_sends);
+    w.u64(out.stats.max_arc_queue as u64);
+    let sh = &out.shard;
+    for x in [sh.shard as u64, sh.nodes as u64, sh.degree as u64] {
+        w.u64(x);
+    }
+    for x in [
+        sh.steps,
+        sh.delivered,
+        sh.cross_sent,
+        sh.step_nanos,
+        sh.drain_nanos,
+    ] {
+        w.u64(x);
+    }
+    for output in out.outputs.iter().flatten() {
+        match output {
+            Some(bytes) => {
+                w.u8(1);
+                w.bytes(bytes);
+            }
+            None => w.u8(0),
+        }
+    }
+    w.u64(out.departures.len() as u64);
+    for &(algo, round, arc, engine_round) in &out.departures {
+        for x in [algo, round, arc, engine_round] {
+            w.u32(x);
+        }
+    }
+    w.buf
+}
+
+/// Decodes shard `nodes`' DONE body. Total: a short body is
+/// [`ExecError::TruncatedFrame`], a departure for an unknown algorithm is
+/// [`ExecError::Net`].
+fn decode_done(body: &[u8], k: usize, nodes: Vec<NodeId>) -> Result<ShardOutput, ExecError> {
     let mut r = ByteReader::new(body);
     let big_rounds = r.u64("DONE big-rounds")?;
     let last_activity_round = r.u64("DONE last activity")?;
-    let delivered = r.u64("DONE delivered")?;
-    let late_messages = r.u64("DONE late")?;
-    let invalid_sends = r.u64("DONE invalid sends")?;
-    let max_arc_queue = r.u64("DONE max arc queue")? as usize;
+    let stats = ExecStats {
+        delivered: r.u64("DONE delivered")?,
+        late_messages: r.u64("DONE late")?,
+        invalid_sends: r.u64("DONE invalid sends")?,
+        max_arc_queue: r.u64("DONE max arc queue")? as usize,
+        ..ExecStats::default()
+    };
     let shard = ShardStats {
         shard: r.u64("DONE shard index")? as usize,
         nodes: r.u64("DONE shard nodes")? as usize,
@@ -1122,8 +1121,8 @@ fn decode_done(body: &[u8], k: usize, own_n: usize) -> Result<ShardDone, ExecErr
     };
     let mut outputs: Vec<Vec<Option<Vec<u8>>>> = Vec::with_capacity(k);
     for _ in 0..k {
-        let mut per_node = Vec::with_capacity(own_n);
-        for _ in 0..own_n {
+        let mut per_node = Vec::with_capacity(nodes.len());
+        for _ in 0..nodes.len() {
             let some = r.u8("DONE output tag")? != 0;
             per_node.push(if some {
                 Some(r.bytes("DONE output")?.to_vec())
@@ -1133,31 +1132,25 @@ fn decode_done(body: &[u8], k: usize, own_n: usize) -> Result<ShardDone, ExecErr
         }
         outputs.push(per_node);
     }
-    let mut departures: Vec<SimulationMap> = Vec::with_capacity(k);
-    for _ in 0..k {
-        let count = r.u64("DONE departure count")?;
-        let mut map = SimulationMap::new();
-        for _ in 0..count {
-            let round = r.u32("DONE departure round")?;
-            let arc = r.u32("DONE departure arc")? as usize;
-            let engine_round = r.u32("DONE departure engine round")?;
-            map.insert(
-                TimedArc {
-                    round,
-                    arc: das_graph::Arc::from_index(arc),
-                },
-                engine_round,
-            );
+    let count = r.u64("DONE departure count")?;
+    let mut departures = Vec::new();
+    for _ in 0..count {
+        let algo = r.u32("DONE departure algorithm")?;
+        let round = r.u32("DONE departure round")?;
+        let arc = r.u32("DONE departure arc")?;
+        let engine_round = r.u32("DONE departure engine round")?;
+        if algo as usize >= k {
+            return Err(ExecError::Net {
+                detail: format!("DONE departure for algorithm {algo}, but the problem has {k}"),
+            });
         }
-        departures.push(map);
+        departures.push((algo, round, arc, engine_round));
     }
-    Ok(ShardDone {
+    Ok(ShardOutput {
+        nodes,
         outputs,
         departures,
-        delivered,
-        late_messages,
-        invalid_sends,
-        max_arc_queue,
+        stats,
         last_activity_round,
         big_rounds,
         shard,
@@ -1329,12 +1322,125 @@ pub(crate) fn decode_abort(body: &[u8]) -> String {
         .unwrap_or_else(|| "coordinator aborted the run".to_string())
 }
 
-/// The worker's big-round loop: the row-engine shard worker with the
-/// in-process barriers replaced by framed round-trips. Every stateful
-/// detail — step order, send validation, arc ownership, lateness checks,
-/// drain behaviour, the round cap, the termination predicate — matches
-/// [`crate::Executor::run_sharded`]'s row worker line for line, which is
-/// what makes the outcome byte-identical.
+/// The framed-TCP boundary exchange of one worker: staged flights are
+/// encoded per destination shard and shipped in one OUTBOX frame, the
+/// coordinator answers with this shard's INBOX (already in ascending
+/// source-shard order), and termination is one ACTIVITY → DECISION
+/// round-trip.
+struct NetExchange<'c> {
+    conn: &'c mut FramedConn,
+    /// Encoded flights per destination shard, reused across big-rounds.
+    groups: Vec<Vec<u8>>,
+    counts: Vec<u32>,
+    /// The last INBOX body.
+    inbox: Vec<u8>,
+}
+
+impl NetExchange<'_> {
+    /// Receives the next frame, which must be `kind` for big-round `b`
+    /// (an ABORT is a typed [`ExecError::Aborted`]); returns the body past
+    /// the big-round field.
+    fn expect(&mut self, kind: u8, name: &str, b: u64) -> Result<Vec<u8>, ExecError> {
+        let (got, body) = self.conn.recv(&format!("waiting for {name}"))?;
+        if got == wire::ABORT {
+            return Err(ExecError::Aborted {
+                detail: decode_abort(&body),
+            });
+        }
+        if got != kind {
+            return Err(ExecError::Net {
+                detail: format!("expected {name}, got frame kind {got}"),
+            });
+        }
+        let round = ByteReader::new(&body).u64(&format!("{name} big-round"))?;
+        if round != b {
+            return Err(ExecError::Net {
+                detail: format!("{name} for big-round {round}, expected {b}"),
+            });
+        }
+        Ok(body)
+    }
+}
+
+impl BoundaryExchange for NetExchange<'_> {
+    fn stage(&mut self, owner: usize, arc: u32, algo: u32, round: u32, payload: &[u8]) {
+        let grp = &mut self.groups[owner];
+        for x in [arc, algo, round, payload.len() as u32] {
+            grp.extend_from_slice(&x.to_le_bytes());
+        }
+        grp.extend_from_slice(payload);
+        self.counts[owner] += 1;
+    }
+
+    fn cross(&mut self, b: u64, _: &mut ExecObs) -> Result<(), ExecError> {
+        let mut w = ByteWriter::new();
+        w.u64(b);
+        w.u32(self.counts.iter().filter(|&&c| c > 0).count() as u32);
+        for (dst, (grp, count)) in self.groups.iter_mut().zip(&mut self.counts).enumerate() {
+            if *count > 0 {
+                w.u32(dst as u32);
+                w.u32(*count);
+                w.buf.append(grp);
+                *count = 0;
+            }
+        }
+        self.conn.send(wire::OUTBOX, &w.buf, "sending outbox")?;
+        self.inbox = self.expect(wire::INBOX, "INBOX", b)?;
+        Ok(())
+    }
+
+    fn arrivals(
+        &mut self,
+        mut arrive: impl FnMut(u32, u32, u32, &[u8]) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        let mut r = ByteReader::new(&self.inbox);
+        r.u64("INBOX big-round")?;
+        for _ in 0..r.u32("INBOX count")? {
+            let arc = r.u32("flight arc")?;
+            let algo = r.u32("flight algo")?;
+            let round = r.u32("flight round")?;
+            arrive(arc, algo, round, r.bytes("flight payload")?)?;
+        }
+        Ok(())
+    }
+
+    fn decide(
+        &mut self,
+        b: u64,
+        active: bool,
+        _: u64,
+        (stats, shard): (&ExecStats, &ShardStats),
+        _: &mut ExecObs,
+    ) -> Result<bool, ExecError> {
+        // Cumulative telemetry totals ride along after the flag.
+        let mut w = ByteWriter::new();
+        w.u64(b);
+        w.u8(active as u8);
+        for x in [
+            shard.steps,
+            stats.delivered,
+            stats.late_messages,
+            shard.cross_sent,
+        ] {
+            w.u64(x);
+        }
+        self.conn.send(wire::ACTIVITY, &w.buf, "posting activity")?;
+        let body = self.expect(wire::DECISION, "DECISION", b)?;
+        let mut r = ByteReader::new(&body);
+        r.u64("DECISION big-round")?;
+        Ok(r.u8("DECISION flag")? != 0)
+    }
+
+    fn round_cap(&mut self, cap: u64, b: u64) {
+        let mut w = ByteWriter::new();
+        w.u64(cap);
+        w.u64(b);
+        let _ = self.conn.send(wire::ERROR, &w.buf, "reporting round cap");
+    }
+}
+
+/// The worker's run: the engine core over this shard's plan slice, with
+/// the framed-TCP exchange, then one DONE frame.
 fn worker_loop(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
@@ -1342,351 +1448,36 @@ fn worker_loop(
     part: &Partition,
     conn: &mut FramedConn,
 ) -> Result<WorkerOutcome, ExecError> {
-    let g = problem.graph();
     let algos = problem.algorithms();
     let config = ExecutorConfig::default().with_phase_len(plan.phase_len);
-    let n = g.node_count();
-    let k = algos.len();
+    let seeds: Vec<u64> = (0..algos.len()).map(|i| problem.algo_seed(i)).collect();
+    let steps = FlatSteps::build(problem.graph().node_count(), algos, &plan.units);
+    let spec = ShardSpec {
+        g: problem.graph(),
+        algos,
+        seeds: &seeds,
+        config: &config,
+        steps: &steps,
+        of_node: part.of_node(),
+        me,
+    };
     let s = part.shards();
-    let seeds: Vec<u64> = (0..k).map(|i| problem.algo_seed(i)).collect();
-    let steps_plan = StepPlan::build(g, algos, &plan.units);
-    let last_step_round = steps_plan.last_big_round().unwrap_or(0);
-    let mut by_big_round: Vec<Vec<(u32, u32, u32)>> =
-        vec![Vec::new(); last_step_round as usize + 1];
-    for a in 0..k {
-        for v in 0..n {
-            for (r, &bb) in steps_plan.plan[a][v].iter().enumerate() {
-                by_big_round[bb as usize].push((a as u32, v as u32, r as u32));
-            }
-        }
-    }
-    let arc_owner: Vec<u32> = (0..g.arc_count())
-        .map(|i| {
-            let (_, dst) = g.arc_endpoints(das_graph::Arc::from_index(i));
-            part.of_node()[dst.index()]
-        })
-        .collect();
-
-    let own: Vec<usize> = (0..n).filter(|&v| part.of_node()[v] == me as u32).collect();
-    let own_n = own.len();
-    let mut local_of = vec![usize::MAX; n];
-    for (li, &v) in own.iter().enumerate() {
-        local_of[v] = li;
-    }
-    let mut machines: Vec<Vec<Box<dyn crate::algorithm::AlgoNode>>> = (0..k)
-        .map(|a| {
-            own.iter()
-                .map(|&v| {
-                    algos[a].create_node(
-                        NodeId(v as u32),
-                        n,
-                        das_congest::util::seed_mix(seeds[a], v as u64),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let mut steps_done = vec![vec![0u32; own_n]; k];
-    let mut buffers: Vec<TagWindow> = Vec::with_capacity(k * own_n);
-    buffers.resize_with(k * own_n, TagWindow::default);
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut queues: Vec<ArcFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ArcFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
+    let mut exchange = NetExchange {
+        conn,
+        groups: vec![Vec::new(); s],
+        counts: vec![0; s],
+        inbox: Vec::new(),
     };
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-    let mut shard = ShardStats {
-        shard: me,
-        nodes: own_n,
-        degree: own.iter().map(|&v| g.degree(NodeId(v as u32))).sum(),
-        ..ShardStats::default()
-    };
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-    let mut b: u64 = 0;
-    // per-destination staging for the OUTBOX frame, reused across rounds
-    let mut out_groups: Vec<Vec<u8>> = vec![Vec::new(); s];
-    let mut out_counts: Vec<u32> = vec![0; s];
-    loop {
-        // 1. Step phase: identical to the in-process row worker, except
-        // that cross-shard flights are encoded into per-destination
-        // staging buffers instead of in-memory outboxes.
-        let t_step = Instant::now();
-        if let Some(steps) = by_big_round.get(b as usize) {
-            for &(a, v, r) in steps {
-                let (a, v) = (a as usize, v as usize);
-                let li = local_of[v];
-                if li == usize::MAX {
-                    continue;
-                }
-                debug_assert_eq!(steps_done[a][li], r, "steps execute in order");
-                if r == 0 {
-                    inbox.clear();
-                } else {
-                    buffers[a * own_n + li].take(r - 1, &mut inbox);
-                }
-                // canonical inbox order, matching the reference runner
-                inbox.sort();
-                let sends = machines[a][li].step(&inbox);
-                steps_done[a][li] = r + 1;
-                shard.steps += 1;
-                let me_node = NodeId(v as u32);
-                let mut sent_to: Vec<NodeId> = Vec::new();
-                for snd in sends {
-                    let valid = g.find_edge(me_node, snd.to).is_some()
-                        && snd.payload.len() <= config.message_bytes
-                        && !sent_to.contains(&snd.to);
-                    if !valid {
-                        stats.invalid_sends += 1;
-                        continue;
-                    }
-                    sent_to.push(snd.to);
-                    let edge = g.find_edge(me_node, snd.to).expect("validated");
-                    let arc = g.arc_from(edge, me_node);
-                    let idx = arc.index();
-                    let owner = arc_owner[idx] as usize;
-                    if owner == me {
-                        let q = &mut queues[idx];
-                        if q.is_empty() {
-                            active_arcs.push(idx);
-                        }
-                        q.push_back(Flight {
-                            dst: snd.to,
-                            algo: a as u32,
-                            round: r,
-                            from: me_node,
-                            payload: snd.payload,
-                        });
-                        stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                    } else {
-                        shard.cross_sent += 1;
-                        let grp = &mut out_groups[owner];
-                        grp.extend_from_slice(&(idx as u32).to_le_bytes());
-                        grp.extend_from_slice(&snd.to.0.to_le_bytes());
-                        grp.extend_from_slice(&(a as u32).to_le_bytes());
-                        grp.extend_from_slice(&r.to_le_bytes());
-                        grp.extend_from_slice(&me_node.0.to_le_bytes());
-                        grp.extend_from_slice(&(snd.payload.len() as u32).to_le_bytes());
-                        grp.extend_from_slice(&snd.payload);
-                        out_counts[owner] += 1;
-                    }
-                }
-            }
-        }
-        shard.step_nanos += t_step.elapsed().as_nanos() as u64;
-
-        // All outboxes for big-round b are complete: the first network
-        // barrier (OUTBOX up, INBOX down).
-        let mut w = ByteWriter::new();
-        w.u64(b);
-        let groups = out_counts.iter().filter(|&&c| c > 0).count();
-        w.u32(groups as u32);
-        for dst in 0..s {
-            if out_counts[dst] == 0 {
-                continue;
-            }
-            w.u32(dst as u32);
-            w.u32(out_counts[dst]);
-            w.buf.extend_from_slice(&out_groups[dst]);
-            out_groups[dst].clear();
-            out_counts[dst] = 0;
-        }
-        conn.send(wire::OUTBOX, &w.buf, "sending outbox")?;
-
-        let (kind, body) = conn.recv("waiting for inbox")?;
-        match kind {
-            wire::INBOX => {}
-            wire::ABORT => {
-                return Err(ExecError::Aborted {
-                    detail: decode_abort(&body),
-                })
-            }
-            other => {
-                return Err(ExecError::Net {
-                    detail: format!("expected INBOX, got frame kind {other}"),
-                })
-            }
-        }
-        let t_drain = Instant::now();
-        // 2. Merge cross-shard arrivals into the owned queues — the shard
-        // boundary crossing, once per big-round, already ordered by
-        // ascending source shard by the coordinator.
-        {
-            let mut r = ByteReader::new(&body);
-            let round = r.u64("INBOX big-round")?;
-            if round != b {
-                return Err(ExecError::Net {
-                    detail: format!("INBOX for big-round {round}, expected {b}"),
-                });
-            }
-            let count = r.u32("INBOX count")?;
-            for _ in 0..count {
-                let idx = r.u32("flight arc")? as usize;
-                let dst = NodeId(r.u32("flight dst")?);
-                let algo = r.u32("flight algo")?;
-                let round = r.u32("flight round")?;
-                let from = NodeId(r.u32("flight from")?);
-                let payload = r.bytes("flight payload")?.to_vec();
-                if idx >= queues.len() || arc_owner[idx] as usize != me {
-                    return Err(ExecError::Net {
-                        detail: format!("INBOX delivered arc {idx} this shard does not own"),
-                    });
-                }
-                let q = &mut queues[idx];
-                if q.is_empty() {
-                    active_arcs.push(idx);
-                }
-                q.push_back(Flight {
-                    dst,
-                    algo,
-                    round,
-                    from,
-                    payload,
-                });
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-            }
-        }
-
-        // 3. Drain the owned queues for phase_len engine rounds, exactly
-        // as the in-process worker does.
-        let mut capped = None;
-        'drain: for _ in 0..config.phase_len {
-            let arcs = std::mem::take(&mut active_arcs);
-            for arc_idx in arcs {
-                let Some(f) = queues[arc_idx].pop_front() else {
-                    continue;
-                };
-                if !queues[arc_idx].is_empty() {
-                    active_arcs.push(arc_idx);
-                }
-                let (a, li) = (f.algo as usize, local_of[f.dst.index()]);
-                debug_assert_ne!(li, usize::MAX, "arc delivered to a foreign shard");
-                departures[a].insert(
-                    TimedArc {
-                        round: f.round,
-                        arc: das_graph::Arc::from_index(arc_idx),
-                    },
-                    engine_round as u32,
-                );
-                let late = steps_done[a][li] >= f.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    buffers[a * own_n + li].push(f.round, f.from, f.payload);
-                    stats.delivered += 1;
-                }
-                last_activity_round = engine_round + 1;
-            }
-            engine_round += 1;
-            if engine_round > config.max_engine_rounds {
-                // every worker's engine-round counter is identical, so all
-                // workers reach this in lockstep; each tells the
-                // coordinator and exits with the same typed error
-                capped = Some(ExecError::RoundCapExceeded {
-                    cap: config.max_engine_rounds,
-                    big_round: b,
-                });
-                break 'drain;
-            }
-        }
-        shard.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-        if let Some(err) = capped {
-            let mut w = ByteWriter::new();
-            w.u64(config.max_engine_rounds);
-            w.u64(b);
-            let _ = conn.send(wire::ERROR, &w.buf, "reporting round cap");
-            return Err(err);
-        }
-
-        // 4. Termination: the second network barrier (ACTIVITY up,
-        // DECISION down) replaces the in-process activity counter and its
-        // two barriers.
-        let mut w = ByteWriter::new();
-        w.u64(b);
-        w.u8(!active_arcs.is_empty() as u8);
-        // Cumulative telemetry totals ride along for free: coordinators
-        // that predate them ignore the tail (ByteReader never over-reads),
-        // so the protocol version is unchanged.
-        w.u64(shard.steps);
-        w.u64(stats.delivered);
-        w.u64(stats.late_messages);
-        w.u64(shard.cross_sent);
-        conn.send(wire::ACTIVITY, &w.buf, "posting activity")?;
-        let (kind, body) = conn.recv("waiting for decision")?;
-        match kind {
-            wire::DECISION => {}
-            wire::ABORT => {
-                return Err(ExecError::Aborted {
-                    detail: decode_abort(&body),
-                })
-            }
-            other => {
-                return Err(ExecError::Net {
-                    detail: format!("expected DECISION, got frame kind {other}"),
-                })
-            }
-        }
-        let mut r = ByteReader::new(&body);
-        let round = r.u64("DECISION big-round")?;
-        if round != b {
-            return Err(ExecError::Net {
-                detail: format!("DECISION for big-round {round}, expected {b}"),
-            });
-        }
-        let done = r.u8("DECISION flag")? != 0;
-        b += 1;
-        if done {
-            break;
-        }
-    }
-
-    shard.delivered = stats.delivered;
-    // DONE: outputs, departures, and stats, in one frame.
-    let mut w = ByteWriter::new();
-    w.u64(b);
-    w.u64(last_activity_round);
-    w.u64(stats.delivered);
-    w.u64(stats.late_messages);
-    w.u64(stats.invalid_sends);
-    w.u64(stats.max_arc_queue as u64);
-    w.u64(shard.shard as u64);
-    w.u64(shard.nodes as u64);
-    w.u64(shard.degree as u64);
-    w.u64(shard.steps);
-    w.u64(shard.delivered);
-    w.u64(shard.cross_sent);
-    w.u64(shard.step_nanos);
-    w.u64(shard.drain_nanos);
-    for per_node in &machines {
-        for m in per_node {
-            match m.output() {
-                Some(out) => {
-                    w.u8(1);
-                    w.bytes(&out);
-                }
-                None => w.u8(0),
-            }
-        }
-    }
-    for map in &departures {
-        w.u64(map.len() as u64);
-        for (ta, &er) in map {
-            w.u32(ta.round);
-            w.u32(ta.arc.index() as u32);
-            w.u32(er);
-        }
-    }
-    conn.send(wire::DONE, &w.buf, "reporting results")?;
+    let out = run_shard(&spec, &mut exchange, &mut ExecObs::disabled())?;
+    let conn = exchange.conn;
+    conn.send(wire::DONE, &encode_done(&out), "reporting results")?;
     Ok(WorkerOutcome {
         shard: me,
         shards: s,
-        steps: shard.steps,
-        delivered: stats.delivered,
-        cross_sent: shard.cross_sent,
-        big_rounds: b,
+        steps: out.shard.steps,
+        delivered: out.stats.delivered,
+        cross_sent: out.shard.cross_sent,
+        big_rounds: out.big_rounds,
         traffic: conn.traffic.clone(),
     })
 }

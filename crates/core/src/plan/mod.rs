@@ -25,7 +25,7 @@ pub mod analysis;
 pub mod cache;
 pub mod diff;
 
-use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepPlan, Unit};
+use crate::exec::{ExecError, Executor, ExecutorConfig, FlatSteps, ShardReport, Unit};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
 use crate::schedule::ScheduleOutcome;
@@ -198,8 +198,9 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
-    /// Assembles a plan, deriving `predicted_rounds` from the merged step
-    /// plan of `units` (earliest-wins deduplication included).
+    /// Assembles a plan, deriving `predicted_rounds` from the last
+    /// big-round of the merged step table of `units` (earliest-wins
+    /// deduplication included).
     ///
     /// # Panics
     /// Panics if `units` is malformed for the problem (wrong vector sizes
@@ -213,9 +214,8 @@ impl SchedulePlan {
         units: Vec<Unit>,
     ) -> Self {
         let phase_len = phase_len.max(1);
-        let steps = StepPlan::build(problem.graph(), problem.algorithms(), &units);
-        let predicted_rounds = steps
-            .last_big_round()
+        let n = problem.graph().node_count();
+        let predicted_rounds = FlatSteps::last_big_round(n, problem.algorithms(), &units)
             .map_or(0, |b| (b + 1).saturating_mul(phase_len));
         SchedulePlan {
             scheduler: scheduler.to_string(),
@@ -701,7 +701,7 @@ mod tests {
             Err(SchedError::InvalidPlan(PlanError::ZeroPhaseLen))
         ));
 
-        // stride 0 would trip the StepPlan strictly-increasing assert
+        // stride 0 would trip the step table's stride assert
         let mut bad = good.clone();
         bad.units[1].stride = 0;
         assert_eq!(bad.validate(&p), Err(PlanError::ZeroStride { unit: 1 }));

@@ -251,7 +251,7 @@ pub struct ServeConfig {
     pub tape_seed: u64,
     /// The scheduler seed every batch is planned with.
     pub sched_seed: u64,
-    /// Execution engine for the pool.
+    /// Kept for source compatibility only; see [`EngineKind`].
     pub engine: EngineKind,
     /// Network tunables; `net.stop` is the daemon's shutdown signal and
     /// `net.live` its optional telemetry hub.
@@ -267,7 +267,7 @@ impl Default for ServeConfig {
             capacity: Capacity::default(),
             tape_seed: 42,
             sched_seed: 0,
-            engine: EngineKind::ColumnarBatched,
+            engine: EngineKind::default(),
             net: NetConfig::default(),
         }
     }

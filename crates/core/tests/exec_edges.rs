@@ -2,8 +2,12 @@
 //! bookkeeping corners.
 
 use das_core::synthetic::Prescribed;
-use das_core::{BlackBoxAlgorithm, DasProblem, Executor, ExecutorConfig, StepPlan, Unit};
+use das_core::{BlackBoxAlgorithm, DasProblem, Executor, ExecutorConfig, Unit};
 use das_graph::{generators, NodeId};
+
+#[path = "support/row_oracle.rs"]
+mod row_oracle;
+use row_oracle::StepPlan;
 
 fn one_hop(g: &das_graph::Graph) -> Box<dyn BlackBoxAlgorithm> {
     Box::new(Prescribed::new(0, g, &[(0, NodeId(0), NodeId(1))]))
@@ -69,6 +73,9 @@ fn step_plan_reports_earliest_of_overlapping_units() {
     assert_eq!(plan.steps(0, NodeId(0))[0], 2);
     assert_eq!(plan.steps(0, NodeId(1))[0], 7);
     assert_eq!(plan.last_big_round(), Some(7 + 1)); // round 1 at node 1: 8
+                                                    // the library's plan extent agrees: boundary of big-round 8
+    let assembled = das_core::SchedulePlan::assemble("edges", 0, 1, 0, &p, units);
+    assert_eq!(assembled.predicted_rounds, 9);
 }
 
 #[test]

@@ -1,8 +1,9 @@
-//! The tentpole byte-identity property, extended over the wire: a
-//! coordinator plus N workers talking framed TCP on localhost must produce
-//! the *byte-identical* `ScheduleOutcome` of the fused executor and the
-//! in-process sharded executor, for every scheduler, on both graph
-//! families, at 1 and 3 workers.
+//! The byte-identity property, extended over the wire: a coordinator plus
+//! N workers talking framed TCP on localhost must produce the
+//! *byte-identical* `ScheduleOutcome` of the row oracle
+//! (`support/row_oracle.rs`), the fused executor, and the in-process
+//! sharded executor, for every scheduler, on both graph families, at 1 and
+//! 3 workers — and fail with the same round-cap error when they fail.
 //!
 //! A pinned-seed matrix (rather than proptest) keeps the socket churn
 //! bounded; the seeds sweep both graph randomness and workload randomness.
@@ -10,13 +11,17 @@
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
     execute_plan, execute_plan_networked, execute_plan_sharded, run_worker, BlackBoxAlgorithm,
-    DasProblem, InterleaveScheduler, NetConfig, PrivateScheduler, Scheduler, SequentialScheduler,
-    TunedUniformScheduler, UniformScheduler,
+    DasProblem, ExecError, ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler,
+    SchedError, SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler,
+    UniformScheduler, Unit,
 };
 use das_graph::{generators, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
+
+#[path = "support/row_oracle.rs"]
+mod row_oracle;
 
 const WORKER_COUNTS: [usize; 2] = [1, 3];
 
@@ -109,8 +114,16 @@ fn assert_networked_equivalent(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
     for sched in all_schedulers() {
         let plan = sched.plan(&p, seed).expect("model-valid workload");
+        let oracle = row_oracle::execute_plan(&p, &plan, &ExecutorConfig::default())
+            .expect("oracle execution");
+        let fused_bytes = format!("{oracle:?}");
         let fused = execute_plan(&p, &plan).expect("fused execution");
-        let fused_bytes = format!("{fused:?}");
+        assert_eq!(
+            fused_bytes,
+            format!("{fused:?}"),
+            "scheduler {}: fused diverged from the row oracle",
+            sched.name()
+        );
         for workers in WORKER_COUNTS {
             let (sharded, shard_report) =
                 execute_plan_sharded(&p, &plan, workers).expect("sharded execution");
@@ -173,4 +186,67 @@ fn networked_clamps_workers_to_node_count() {
     let (networked, report) = run_networked(&p, &plan, n + 10);
     assert_eq!(format!("{fused:?}"), format!("{networked:?}"));
     assert_eq!(report.shard.shards, n);
+}
+
+/// The round cap fires identically everywhere. A networked worker runs
+/// under the default engine-round cap, so the plan is built to overrun
+/// exactly that: 2·P + 1 one-hop algorithms all send over the same arc at
+/// big-round L with P = phase_len chosen so that the last step boundary
+/// lands on the cap — the backlog is still draining at big-round L + 2,
+/// which crosses it. Oracle, fused, sharded and networked runs must all
+/// return the same `RoundCapExceeded { cap, big_round }`.
+#[test]
+fn round_cap_is_the_same_error_everywhere() {
+    use das_core::synthetic::Prescribed;
+    let g = generators::path(2);
+    let cap = ExecutorConfig::default().max_engine_rounds;
+    let phase_len = 5_000u64;
+    let last_step = cap / phase_len - 1;
+    let k = 2 * phase_len as usize + 1;
+    let algos: Vec<Box<dyn BlackBoxAlgorithm>> = (0..k as u64)
+        .map(|i| {
+            Box::new(Prescribed::new(i, &g, &[(0, NodeId(0), NodeId(1))]))
+                as Box<dyn BlackBoxAlgorithm>
+        })
+        .collect();
+    let p = DasProblem::new(&g, algos, 3);
+    // each algorithm has two rounds: send at last_step - 1, receive at
+    // last_step
+    let units = (0..k).map(|a| Unit::global(a, last_step - 1, 2)).collect();
+    let plan = SchedulePlan::assemble("pinned", 0, phase_len, 0, &p, units);
+    assert_eq!(plan.predicted_rounds, cap, "the plan itself fits the cap");
+    let want = ExecError::RoundCapExceeded {
+        cap,
+        big_round: last_step + 1,
+    };
+    let exec_err = |r: Result<das_core::ScheduleOutcome, SchedError>| match r {
+        Err(SchedError::Exec(e)) => e,
+        other => panic!("expected a typed ExecError, got {other:?}"),
+    };
+    let oracle = row_oracle::execute_plan(&p, &plan, &ExecutorConfig::default());
+    assert_eq!(oracle.unwrap_err(), want, "oracle");
+    assert_eq!(exec_err(execute_plan(&p, &plan)), want, "fused");
+    let sharded = execute_plan_sharded(&p, &plan, 2).map(|(o, _)| o);
+    assert_eq!(exec_err(sharded), want, "sharded");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let net = NetConfig::default().with_io_timeout_ms(20_000);
+    let (networked, workers) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| run_worker(&p, &addr, &net)))
+            .collect();
+        let result = execute_plan_networked(&p, &plan, 2, listener, &net).map(|(o, _)| o);
+        let workers: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread"))
+            .collect();
+        (result, workers)
+    });
+    assert_eq!(exec_err(networked), want, "networked");
+    for w in workers {
+        match w {
+            Err(SchedError::Exec(e)) => assert_eq!(e, want, "worker"),
+            other => panic!("worker must fail with the round cap, got {other:?}"),
+        }
+    }
 }

@@ -6,8 +6,9 @@
 
 use das_core::synthetic::Prescribed;
 use das_core::{
-    execute_plan_networked, problem_fingerprint, run_worker, wire, BlackBoxAlgorithm, DasProblem,
-    ExecError, NetConfig, SchedError, Scheduler, SequentialScheduler, PROTOCOL_VERSION,
+    execute_plan_networked, plan_hash, problem_fingerprint, run_worker, wire, BlackBoxAlgorithm,
+    DasProblem, ExecError, NetConfig, Partition, SchedError, Scheduler, SequentialScheduler,
+    PROTOCOL_VERSION,
 };
 use das_graph::{generators, Graph};
 use std::io::{Read, Write};
@@ -171,6 +172,103 @@ fn mismatched_plan_hash_yields_typed_error() {
         other => panic!("expected PlanHashMismatch, got {other:?}"),
     }
     assert!(started.elapsed() < Duration::from_secs(10));
+}
+
+/// Runs a real worker as shard 0 of 2 against a hand-rolled coordinator
+/// that handshakes honestly, reads the worker's first OUTBOX, and answers
+/// with an INBOX holding one forged `(arc, algo, round, payload)` flight.
+/// Returns the worker's error.
+fn worker_error_on_forged_inbox(arc: u32, algo: u32, round: u32) -> ExecError {
+    let g = small_graph();
+    let p = build_problem(&g);
+    let plan = SequentialScheduler.plan(&p, 7).expect("plan");
+    let part = Partition::degree_balanced(&g, 2);
+    let slice = plan.slice_for_shard(part.of_node(), 0).to_json();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let started = Instant::now();
+    let fake_coordinator = std::thread::spawn({
+        let full_hash = plan_hash(&plan);
+        let of_node = part.of_node().to_vec();
+        move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            let (kind, _) = recv_frame(&mut s);
+            assert_eq!(kind, wire::JOIN);
+            let mut assign = Vec::new();
+            assign.extend_from_slice(&0u32.to_le_bytes()); // shard
+            assign.extend_from_slice(&2u32.to_le_bytes()); // shards
+            assign.extend_from_slice(&full_hash.to_le_bytes());
+            assign.extend_from_slice(&das_core::net::fnv1a(slice.as_bytes()).to_le_bytes());
+            assign.extend_from_slice(&(slice.len() as u32).to_le_bytes());
+            assign.extend_from_slice(slice.as_bytes());
+            assign.extend_from_slice(&(of_node.len() as u32).to_le_bytes());
+            for owner in of_node {
+                assign.extend_from_slice(&owner.to_le_bytes());
+            }
+            send_frame(&mut s, wire::ASSIGN, &assign);
+            let (kind, _) = recv_frame(&mut s);
+            assert_eq!(kind, wire::OUTBOX);
+            let mut inbox = Vec::new();
+            inbox.extend_from_slice(&0u64.to_le_bytes()); // big-round
+            inbox.extend_from_slice(&1u32.to_le_bytes()); // one flight
+            for x in [arc, algo, round, 1] {
+                inbox.extend_from_slice(&x.to_le_bytes());
+            }
+            inbox.push(0xee); // the one payload byte
+            send_frame(&mut s, wire::INBOX, &inbox);
+            // hold the socket until the worker hangs up
+            let mut sink = [0u8; 16];
+            let _ = s.read(&mut sink);
+        }
+    });
+    let net = NetConfig::default().with_io_timeout_ms(2_000);
+    let err = exec_err(run_worker(&p, &addr, &net));
+    fake_coordinator.join().expect("fake coordinator");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a forged INBOX must fail fast"
+    );
+    err
+}
+
+/// The INBOX decoder is total: a flight on an arc the shard does not
+/// own, for an unknown algorithm, or tagged past its algorithm's last
+/// round is a typed `ExecError::Net` from the worker — never a panic.
+#[test]
+fn forged_inbox_flights_yield_typed_errors() {
+    let g = small_graph();
+    let p = build_problem(&g);
+    let part = Partition::degree_balanced(&g, 2);
+    let arcs = g.arc_count() as u32;
+    let owner = |arc: u32| {
+        let (_, dst) = g.arc_endpoints(das_graph::Arc::from_index(arc as usize));
+        part.shard_of(dst)
+    };
+    let owned = (0..arcs)
+        .find(|&a| owner(a) == 0)
+        .expect("an arc shard 0 owns");
+    let foreign = (0..arcs)
+        .find(|&a| owner(a) == 1)
+        .expect("an arc shard 1 owns");
+    let k = p.k() as u32;
+    let rounds = p.algorithms()[0].rounds();
+    let cases = [
+        (foreign, 0, 0, "does not own"),
+        (arcs + 5, 0, 0, "does not own"),
+        (owned, k, 0, "unknown algorithm"),
+        (owned, u32::MAX, 0, "unknown algorithm"),
+        (owned, 0, rounds, "rounds"),
+        (owned, 0, u32::MAX, "rounds"),
+    ];
+    for (arc, algo, round, what) in cases {
+        match worker_error_on_forged_inbox(arc, algo, round) {
+            ExecError::Net { detail } => assert!(
+                detail.contains(what),
+                "flight ({arc}, {algo}, {round}): {detail}"
+            ),
+            other => panic!("flight ({arc}, {algo}, {round}): expected Net, got {other:?}"),
+        }
+    }
 }
 
 /// A worker speaking a different protocol version is rejected: the

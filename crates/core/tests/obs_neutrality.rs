@@ -1,9 +1,8 @@
 //! The observability neutrality property: recording must NEVER perturb
-//! outcomes. For every scheduler, every shard count, every engine
-//! (legacy row, columnar default, and batched), and every obs level, the
-//! `ScheduleOutcome` must be byte-identical to the unobserved fused
-//! execution — instrumentation reads the deterministic big-round clock and
-//! never feeds anything back into the engine.
+//! outcomes. For every scheduler, every shard count, and every obs level,
+//! the `ScheduleOutcome` must be byte-identical to the row oracle's
+//! (`support/row_oracle.rs`) — instrumentation reads the deterministic
+//! big-round clock and never feeds anything back into the engine.
 //!
 //! CI additionally enforces this end-to-end on the bench binary: the
 //! `obs-neutrality` job diffs `bench_smoke --dump-outcome` files between
@@ -11,16 +10,18 @@
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute_plan, execute_plan_observed, execute_plan_observed_with, execute_plan_sharded_observed,
-    execute_plan_sharded_observed_with, BlackBoxAlgorithm, DasProblem, EngineKind, ExecutorConfig,
-    InterleaveScheduler, PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler,
-    UniformScheduler,
+    execute_plan, execute_plan_observed, execute_plan_sharded_observed, BlackBoxAlgorithm,
+    DasProblem, ExecutorConfig, InterleaveScheduler, PrivateScheduler, Scheduler,
+    SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/row_oracle.rs"]
+mod row_oracle;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
@@ -71,43 +72,21 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// Asserts obs-on == obs-off bytes for every scheduler, obs level, and
+/// Asserts observed == oracle bytes for every scheduler, obs level, and
 /// shard count on the given graph.
 fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
     for sched in all_schedulers() {
         let plan = sched.plan(&p, seed).expect("model-valid workload");
-        let baseline = format!("{:?}", execute_plan(&p, &plan).expect("fused execution"));
+        let oracle = row_oracle::execute_plan(&p, &plan, &ExecutorConfig::default())
+            .expect("oracle execution");
+        let baseline = format!("{oracle:?}");
         for obs in obs_levels() {
             let (fused, _) = execute_plan_observed(&p, &plan, &obs).expect("observed fused");
             assert_eq!(
                 baseline,
                 format!("{fused:?}"),
                 "scheduler {} diverged under fused obs {:?}",
-                sched.name(),
-                obs.mode
-            );
-            // The legacy row engine must match the columnar baseline under
-            // every obs level too.
-            let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
-            let (row, _) =
-                execute_plan_observed_with(&p, &plan, &obs, &row_cfg).expect("observed row");
-            assert_eq!(
-                baseline,
-                format!("{row:?}"),
-                "scheduler {} row engine diverged under fused obs {:?}",
-                sched.name(),
-                obs.mode
-            );
-            // Probes in the batched engine count block-dispatched steps, so
-            // the batched outcome must stay neutral under every obs level.
-            let batched_cfg = ExecutorConfig::default().with_engine(EngineKind::ColumnarBatched);
-            let (batched, _) = execute_plan_observed_with(&p, &plan, &obs, &batched_cfg)
-                .expect("observed batched");
-            assert_eq!(
-                baseline,
-                format!("{batched:?}"),
-                "scheduler {} batched engine diverged under fused obs {:?}",
                 sched.name(),
                 obs.mode
             );
@@ -118,20 +97,6 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
                     baseline,
                     format!("{sharded:?}"),
                     "scheduler {} diverged under obs {:?} at {} shards",
-                    sched.name(),
-                    obs.mode,
-                    shards
-                );
-                let batched_shard_cfg = ExecutorConfig::default()
-                    .with_shards(shards)
-                    .with_engine(EngineKind::ColumnarBatched);
-                let (batched_sharded, _, _) =
-                    execute_plan_sharded_observed_with(&p, &plan, &obs, &batched_shard_cfg)
-                        .expect("observed batched sharded");
-                assert_eq!(
-                    baseline,
-                    format!("{batched_sharded:?}"),
-                    "scheduler {} batched engine diverged under obs {:?} at {} shards",
                     sched.name(),
                     obs.mode,
                     shards

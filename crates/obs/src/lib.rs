@@ -12,7 +12,7 @@
 //! * compile-time: the `record` cargo feature (default on) — with it off,
 //!   every probe folds to a constant no-op;
 //! * runtime: [`ObsMode::Off`] short-circuits every hook behind a single
-//!   branch on a bool ([`ExecObs::on`]);
+//!   branch on a bool (`ExecObs::on`);
 //! * [`ObsMode::Metrics`] keeps counters/histograms/load profiles but skips
 //!   event allocation; [`ObsMode::Full`] records trace events too.
 //!

@@ -3,8 +3,8 @@
 //! ```text
 //! dasched run        --graph grid:8x8 --workload mixed:18 --scheduler private [--seed 42]
 //! dasched plan       --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7] [--out plan.json]
-//!                    [--in plan.json] [--execute] [--shards N] [--engine row|columnar|batched]
-//!                    [--dump-outcome FILE] [--reuse-artifact]
+//!                    [--in plan.json] [--execute] [--shards N] [--dump-outcome FILE]
+//!                    [--dump-outputs FILE] [--reuse-artifact]
 //! dasched plan       --graph grid:8x8 --workload mixed:18 --diff a.json b.json
 //! dasched trace      --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7]
 //!                    [--shards N] [--export chrome|jsonl|text] [--top K] [--out trace.json]
@@ -19,7 +19,7 @@
 //! dasched worker     --graph grid:8x8 --workload mixed:18 --connect HOST:PORT [--seed 42]
 //!                    [--timeout-ms 30000]
 //! dasched serve      --graph grid:8x8 [--scheduler uniform] [--seed 42] [--listen 127.0.0.1:0]
-//!                    [--batch 4] [--batch-wait-ms 50] [--pool 2] [--engine row|columnar|batched]
+//!                    [--sched-seed 7] [--batch 4] [--batch-wait-ms 50] [--pool 2]
 //!                    [--max-dilation N] [--max-congestion N] [--max-payload N]
 //!                    [--serve-obs ADDR] [--timeout-ms 30000]
 //! dasched loadgen    --graph grid:8x8 --connect HOST:PORT [--seed 42] [--clients 2] [--jobs 8]
@@ -41,6 +41,9 @@
 //! `loadgen` drives a daemon with deterministic concurrent job streams
 //! and reports sustained jobs/sec plus latency quantiles.
 //!
+//! Every subcommand accepts exactly the flags listed for it; any other
+//! `--flag` is a usage error naming the flag.
+//!
 //! Graph specs: `path:N`, `cycle:N`, `grid:RxC`, `gnp:N:P`, `tree:N:ARITY`,
 //! `expander:N:D`, `star:N`, `hypercube:D`.
 //! Workload specs: `mixed:K[:DEPTH]`, `floods:K[:DEPTH]`, `relays:K`,
@@ -57,9 +60,8 @@ use dasched::core::synthetic::{FloodBall, RelayChain};
 use dasched::core::{
     execute_plan_networked, execute_plan_sharded_with, execute_plan_with, install_ctrl_c,
     run_loadgen, run_traced_live, run_worker, verify, BlackBoxAlgorithm, Capacity, DasProblem,
-    EngineKind, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig, PrivateScheduler,
-    SchedulePlan, Scheduler, SequentialScheduler, ServeConfig, TunedUniformScheduler,
-    UniformScheduler,
+    ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig, PrivateScheduler, SchedulePlan,
+    Scheduler, SequentialScheduler, ServeConfig, TunedUniformScheduler, UniformScheduler,
 };
 use dasched::graph::{generators, Graph, NodeId};
 use dasched::lowerbound::{analysis, search, HardInstance, HardInstanceParams};
@@ -84,8 +86,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   dasched run        --graph SPEC --workload SPEC --scheduler NAME [--seed N]
   dasched plan       --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--out FILE]
-                     [--in FILE] [--execute] [--shards N] [--engine row|columnar|batched]
-                     [--dump-outcome FILE] [--reuse-artifact]
+                     [--in FILE] [--execute] [--shards N] [--dump-outcome FILE]
+                     [--dump-outputs FILE] [--reuse-artifact]
   dasched plan       --graph SPEC --workload SPEC --diff A.json B.json
   dasched trace      --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N]
                      [--shards N] [--export chrome|jsonl|text] [--top K] [--out FILE]
@@ -98,8 +100,8 @@ const USAGE: &str = "usage:
                      [--sched-seed N] [--listen ADDR] [--timeout-ms N] [--dump-outcome FILE]
                      [--serve-obs ADDR] [--keep-open]
   dasched worker     --graph SPEC --workload SPEC --connect HOST:PORT [--seed N] [--timeout-ms N]
-  dasched serve      --graph SPEC [--scheduler NAME] [--seed N] [--listen ADDR] [--batch N]
-                     [--batch-wait-ms N] [--pool N] [--engine row|columnar|batched]
+  dasched serve      --graph SPEC [--scheduler NAME] [--seed N] [--sched-seed N] [--listen ADDR]
+                     [--batch N] [--batch-wait-ms N] [--pool N]
                      [--max-dilation N] [--max-congestion N] [--max-payload N]
                      [--serve-obs ADDR] [--timeout-ms N]
   dasched loadgen    --graph SPEC --connect HOST:PORT [--seed N] [--clients N] [--jobs N]
@@ -115,6 +117,7 @@ schedulers:     sequential  interleave  uniform  tuned  private";
 fn run(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("missing command")?;
     let opts = parse_flags(rest)?;
+    check_flags(cmd, &opts)?;
     let seed = opt_u64(&opts, "seed")?.unwrap_or(42);
     match cmd.as_str() {
         "run" => cmd_run(&opts, seed),
@@ -172,6 +175,103 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         out.insert(name.to_string(), value.clone());
     }
     Ok(out)
+}
+
+/// The flags each subcommand reads (`--seed` is read by all of them).
+fn accepted_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "run" => &["graph", "workload", "scheduler"],
+        "plan" => &[
+            "graph",
+            "workload",
+            "scheduler",
+            "sched-seed",
+            "out",
+            "in",
+            "execute",
+            "shards",
+            "dump-outcome",
+            "dump-outputs",
+            "reuse-artifact",
+            "diff",
+        ],
+        "trace" => &[
+            "graph",
+            "workload",
+            "scheduler",
+            "sched-seed",
+            "shards",
+            "export",
+            "top",
+            "out",
+            "serve",
+            "keep-open",
+            "dump-outcome",
+        ],
+        "compare" => &["graph", "workload"],
+        "carve" => &["graph", "dilation", "layers"],
+        "lowerbound" => &["layers", "eta", "k", "p"],
+        "mst" => &["graph", "cap", "k"],
+        "coordinator" => &[
+            "graph",
+            "workload",
+            "scheduler",
+            "workers",
+            "sched-seed",
+            "listen",
+            "timeout-ms",
+            "dump-outcome",
+            "serve-obs",
+            "keep-open",
+        ],
+        "worker" => &["graph", "workload", "connect", "timeout-ms"],
+        "serve" => &[
+            "graph",
+            "scheduler",
+            "sched-seed",
+            "listen",
+            "batch",
+            "batch-wait-ms",
+            "pool",
+            "max-dilation",
+            "max-congestion",
+            "max-payload",
+            "serve-obs",
+            "timeout-ms",
+        ],
+        "loadgen" => &[
+            "graph",
+            "connect",
+            "clients",
+            "jobs",
+            "depth",
+            "check",
+            "reject-every",
+            "out",
+            "dump-outputs",
+            "timeout-ms",
+        ],
+        _ => return None,
+    })
+}
+
+/// Rejects any flag `cmd` does not read, so a typo (`--shard 3`) or a
+/// retired flag is a usage error instead of a silent default.
+fn check_flags(cmd: &str, opts: &HashMap<String, String>) -> Result<(), String> {
+    let accepted = accepted_flags(cmd).ok_or_else(|| format!("unknown command `{cmd}`"))?;
+    let mut unknown: Vec<&str> = opts
+        .keys()
+        .map(|k| match k.as_str() {
+            "diff-a" | "diff-b" => "diff",
+            k => k,
+        })
+        .filter(|k| *k != "seed" && !accepted.contains(k))
+        .collect();
+    unknown.sort_unstable();
+    match unknown.first() {
+        Some(flag) => Err(format!("unknown flag --{flag} for `{cmd}`")),
+        None => Ok(()),
+    }
 }
 
 fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
@@ -484,9 +584,8 @@ fn diff_plans(problem: &DasProblem<'_>, path_a: &str, path_b: &str) -> Result<()
 }
 
 /// The `plan --execute` tail: run the plan (sharded when `--shards N > 1`,
-/// with a fused-identity check and per-shard report) on the selected
-/// engine (`--engine row|columnar|batched`, columnar by default), verify, and
-/// honor `--dump-outcome`.
+/// with a fused-identity check and per-shard report), verify, and honor
+/// `--dump-outcome` and `--dump-outputs`.
 fn execute_planned(
     opts: &HashMap<String, String>,
     problem: &DasProblem<'_>,
@@ -494,10 +593,7 @@ fn execute_planned(
 ) -> Result<(), String> {
     let shards = opt_count(opts, "shards")?.unwrap_or(1);
     note_clamped("shards", shards, problem.graph().node_count());
-    let engine = parse_engine(opts, EngineKind::Columnar)?;
-    let config = ExecutorConfig::default()
-        .with_engine(engine)
-        .with_phase_len(plan.phase_len);
+    let config = ExecutorConfig::default().with_phase_len(plan.phase_len);
     let t0 = std::time::Instant::now();
     let fused = execute_plan_with(problem, plan, &config).map_err(|e| e.to_string())?;
     let fused_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -556,20 +652,6 @@ fn execute_planned(
         println!("wrote per-job outputs to {path}");
     }
     Ok(())
-}
-
-/// Parses `--engine row|columnar|batched` (shared by `plan --execute` and
-/// `serve`), falling back to `default` when absent.
-fn parse_engine(opts: &HashMap<String, String>, default: EngineKind) -> Result<EngineKind, String> {
-    match opts.get("engine").map(String::as_str) {
-        None => Ok(default),
-        Some("columnar") => Ok(EngineKind::Columnar),
-        Some("batched") => Ok(EngineKind::ColumnarBatched),
-        Some("row") => Ok(EngineKind::Row),
-        Some(other) => Err(format!(
-            "unknown engine `{other}` (row, columnar, or batched)"
-        )),
-    }
 }
 
 /// Canonical per-job output dump: one line per `(job, node)` pair, keyed
@@ -969,7 +1051,7 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         capacity,
         tape_seed: seed,
         sched_seed,
-        engine: parse_engine(opts, defaults.engine)?,
+        engine: defaults.engine,
         net,
     };
     println!(
@@ -1748,11 +1830,23 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&args).unwrap_err().contains("--pool must be >= 1"));
-        let args: Vec<String> = ["serve", "--graph", "path:8", "--engine", "quantum"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&args).unwrap_err().contains("unknown engine"));
+        // the retired --engine flag and a typo of --shards are usage
+        // errors naming the flag, not silently ignored
+        for (cmd, flag) in [
+            ("serve", "--engine"),
+            ("plan", "--engine"),
+            ("plan", "--shard"),
+        ] {
+            let args: Vec<String> = [cmd, "--graph", "path:8", flag, "3"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = run(&args).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag {flag} for `{cmd}`")),
+                "{cmd} {flag}: {err}"
+            );
+        }
     }
 
     #[test]
